@@ -9,6 +9,7 @@ use wbft_crypto::schnorr::{KeyPair, PublicKey};
 use wbft_crypto::thresh_coin::{CoinPublicSet, CoinSecretShare};
 use wbft_crypto::thresh_enc::{EncPublicSet, EncSecretShare};
 use wbft_crypto::thresh_sig::{PublicKeySet, SecretKeyShare};
+use wbft_crypto::{Scalar, ShareIndex};
 use wbft_net::Body;
 use wbft_wireless::SimDuration;
 
@@ -129,14 +130,48 @@ pub struct NodeCrypto {
 /// Deals a full set of [`NodeCrypto`] for an `n`-node deployment (the
 /// trusted-dealer setup the paper also assumes).
 pub fn deal_node_crypto(n: usize, suite: CryptoSuite, rng: &mut impl RngCore) -> Vec<NodeCrypto> {
+    deal_node_crypto_with_joiners(n, n, suite, rng)
+}
+
+/// Deals the identities of a deployment whose committee may change at
+/// runtime. Node *identity* is static: all `n_total` nodes (genesis members
+/// and future joiners alike) hold a packet keypair and everyone's
+/// verification keys from the start. The threshold deals are sized to the
+/// `n_genesis`-node genesis committee: genesis members get real secret
+/// shares, while joiners (ids `n_genesis..`) get the genesis *public* sets —
+/// they need them to verify certificates on the chain they bootstrap — plus
+/// placeholder zero secret shares at their own index. A placeholder share
+/// used before a resharing ceremony hands the joiner real shares produces
+/// shares that fail verification loudly instead of silently combining into
+/// garbage. `n_total == n_genesis` is exactly [`deal_node_crypto`].
+pub fn deal_node_crypto_with_joiners(
+    n_genesis: usize,
+    n_total: usize,
+    suite: CryptoSuite,
+    rng: &mut impl RngCore,
+) -> Vec<NodeCrypto> {
+    let n = n_genesis;
     assert!(n >= 4 && (n - 1).is_multiple_of(3), "need n = 3f+1 >= 4, got {n}");
+    assert!(n_total >= n, "total node count below the genesis committee");
     let f = (n - 1) / 3;
-    let keypairs: Vec<KeyPair> = (0..n).map(|_| KeyPair::generate(suite.ecdsa, rng)).collect();
+    let keypairs: Vec<KeyPair> =
+        (0..n_total).map(|_| KeyPair::generate(suite.ecdsa, rng)).collect();
     let peer_keys: Vec<PublicKey> = keypairs.iter().map(|k| k.public()).collect();
     let (prbc_pub, prbc_secs) = wbft_crypto::thresh_sig::deal(n, f, suite.threshold, rng);
     let (cbc_pub, cbc_secs) = wbft_crypto::thresh_sig::deal(n, 2 * f, suite.threshold, rng);
     let (coin_pub, coin_secs) = wbft_crypto::thresh_coin::deal_coin(n, f, suite.threshold, rng);
     let (enc_pub, enc_secs) = wbft_crypto::thresh_enc::deal_enc(n, f, suite.threshold, rng);
+    let joiners = n..n_total;
+    let idx = ShareIndex::for_node;
+    let sig_placeholder = |me| SecretKeyShare::from_parts(idx(me), Scalar::ZERO, suite.threshold);
+    let prbc_secs = prbc_secs.into_iter().chain(joiners.clone().map(sig_placeholder));
+    let cbc_secs = cbc_secs.into_iter().chain(joiners.clone().map(sig_placeholder));
+    let coin_secs = coin_secs
+        .into_iter()
+        .chain(joiners.clone().map(|me| CoinSecretShare::from_parts(idx(me), Scalar::ZERO)));
+    let enc_secs = enc_secs
+        .into_iter()
+        .chain(joiners.map(|me| EncSecretShare::from_parts(idx(me), Scalar::ZERO)));
     keypairs
         .into_iter()
         .zip(prbc_secs)

@@ -63,5 +63,8 @@ pub mod rbc;
 pub mod rbc_small;
 pub mod share_buf;
 
-pub use context::{deal_node_crypto, Actions, BinaryAgreement, Broadcaster, NodeCrypto, Params};
+pub use context::{
+    deal_node_crypto, deal_node_crypto_with_joiners, Actions, BinaryAgreement, Broadcaster,
+    NodeCrypto, Params,
+};
 pub use share_buf::{CoinShareBuf, SigShareBuf};

@@ -30,7 +30,7 @@
 use crate::byzantine::ByzantineMode;
 use crate::protocol::Protocol;
 use crate::service::block_digests;
-use crate::testbed::{self, TestbedConfig};
+use crate::testbed::{self, SingleHop, TestbedConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeMap;
@@ -39,9 +39,7 @@ use std::path::Path;
 use wbft_crypto::hash::Digest32;
 use wbft_net::packets::{Body, Envelope};
 use wbft_report::{field, Json, JsonError, ToJson};
-use wbft_wireless::{
-    Delivery, DeliveryScheduler, NodeId, SchedConfig, SchedPolicy, SimDuration, SimTime,
-};
+use wbft_wireless::{Delivery, DeliveryScheduler, NodeId, SchedConfig, SchedPolicy, SimDuration};
 
 // ------------------------------------------------------------------
 // Protocol-aware scheduling.
@@ -161,7 +159,8 @@ pub struct FuzzOutcome {
     pub blocks: u64,
     /// Medium collisions.
     pub collisions: u64,
-    /// Digest chain of the first honest node (the agreement reference).
+    /// Digest chain of the agreement reference: the first honest node that
+    /// never crashes and never leaves the committee.
     pub chain: Vec<Digest32>,
 }
 
@@ -180,58 +179,29 @@ impl ToJson for FuzzOutcome {
     }
 }
 
-/// Runs one case without panicking on protocol failures: disagreement
-/// becomes a [`FuzzVerdict::Divergence`], an unfinished run a
+/// Runs one case through the testbed's single-hop runner and judge without
+/// panicking on protocol failures: an agreement or journal violation
+/// becomes a [`FuzzVerdict::Divergence`]; an unfinished run, or a finished
+/// one whose chains are not level or whose churn ops never committed, a
 /// [`FuzzVerdict::Stall`]. Single-hop only (divergence detection needs the
 /// per-node chains the multi-hop tiers don't expose uniformly).
 pub fn run_case(case: &FuzzCase) -> FuzzOutcome {
     assert!(case.cfg.clusters.is_none(), "fuzz cases are single-hop");
-    testbed::validate(&case.cfg);
-    // Crash-plan cases run the journaled, sync-capable build and execute
-    // the churn timeline before the completion race; verdicts (including a
-    // restarted node that never catches up → stall) are judged the same way.
-    let (mut sim, honest) = if case.cfg.crash.is_some() {
-        let (mut sim, honest, stores, crypto) = testbed::build_crash_single_hop(&case.cfg);
-        testbed::apply_crash_timeline(&case.cfg, &mut sim, &crypto, &stores);
-        (sim, honest)
-    } else if case.cfg.churn.is_some() {
-        // Membership runs simulate joiners from the start; a joiner (or
-        // leaver) that never adopts the agreed chain shows up as a stall,
-        // a bad reshare/activation as divergence.
-        testbed::build_churn_single_hop(&case.cfg)
-    } else {
-        testbed::build_single_hop(&case.cfg)
-    };
-    let deadline = SimTime::ZERO + case.cfg.deadline;
-    let budget = case.event_budget;
-    sim.run_until_pred(deadline, |s| {
-        s.events_processed() >= budget
-            || s.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done())
-    });
-    let done = sim.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done());
-    let chains: Vec<Vec<Digest32>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| block_digests(b.blocks()))
-        .collect();
-    let reference = chains.first().cloned().unwrap_or_default();
-    let divergent = chains.iter().any(|c| {
-        let common = c.len().min(reference.len());
-        c[..common] != reference[..common]
-    });
-    let verdict = if divergent {
-        FuzzVerdict::Divergence
-    } else if !done {
-        FuzzVerdict::Stall
-    } else {
-        FuzzVerdict::Ok
+    if let Err(e) = testbed::validate(&case.cfg) {
+        panic!("{e}");
+    }
+    let run = SingleHop::run(&case.cfg, case.event_budget);
+    let verdict = match run.judge(&case.cfg) {
+        Err((verdict, _)) => verdict,
+        Ok(()) if run.completed => FuzzVerdict::Ok,
+        Ok(()) => FuzzVerdict::Stall,
     };
     FuzzOutcome {
         verdict,
-        events: sim.events_processed(),
-        blocks: chains.iter().map(|c| c.len() as u64).max().unwrap_or(0),
-        collisions: sim.metrics().collisions,
-        chain: reference,
+        events: run.sim.events_processed(),
+        blocks: run.honest_nodes().map(|(_, b)| b.blocks().len() as u64).max().unwrap_or(0),
+        collisions: run.sim.metrics().collisions,
+        chain: block_digests(run.reference(&case.cfg)),
     }
 }
 
@@ -723,7 +693,7 @@ pub fn replay_fixture(path: &Path) -> io::Result<FuzzOutcome> {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use wbft_wireless::ChannelId;
+    use wbft_wireless::{ChannelId, SimTime};
 
     #[test]
     fn coin_classifier_ignores_non_coin_frames() {
@@ -775,6 +745,19 @@ mod tests {
         let out = run_case(&membership_churn_case(Protocol::Beat, DEFAULT_EVENT_BUDGET));
         assert_eq!(out.verdict, FuzzVerdict::Ok, "events={} blocks={}", out.events, out.blocks);
         assert_eq!(out.blocks, 3);
+    }
+
+    #[test]
+    fn service_case_runs_the_service_program() {
+        // A case carrying a service load replays the mempool-fed program
+        // `testbed::run` executes, not a fixed-epoch stand-in.
+        let mut case = base_case(Protocol::HoneyBadgerSc, DEFAULT_EVENT_BUDGET);
+        case.cfg.service = Some(crate::service::ServiceConfig::small());
+        let report = testbed::run(&case.cfg);
+        let out = run_case(&case);
+        assert_eq!(out.verdict, FuzzVerdict::Ok, "events={} blocks={}", out.events, out.blocks);
+        assert_eq!(out.blocks, report.epoch_latencies.len() as u64);
+        assert!(out.blocks > case.cfg.epochs, "the load needs more than the fixed epochs");
     }
 
     #[test]

@@ -256,13 +256,13 @@ impl MembershipCtl {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use wbft_components::deal_node_crypto;
+    use wbft_components::{deal_node_crypto, deal_node_crypto_with_joiners};
     use wbft_crypto::CryptoSuite;
     use wbft_membership::MEMBERSHIP_TX_MAGIC;
 
     fn ctls(n_genesis: usize, n_total: usize) -> Vec<MembershipCtl> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        crate::testbed::deal_churn_crypto(n_genesis, n_total, CryptoSuite::light(), &mut rng)
+        deal_node_crypto_with_joiners(n_genesis, n_total, CryptoSuite::light(), &mut rng)
             .into_iter()
             .map(|c| MembershipCtl::new(c, n_genesis))
             .collect()

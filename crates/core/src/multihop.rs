@@ -109,7 +109,7 @@ impl ClusterNode {
         local_crypto: NodeCrypto,
         global_crypto: NodeCrypto,
     ) -> Self {
-        let local = protocol.engine(local_crypto.clone(), workload, target_epochs);
+        let local = protocol.engine_at_depth(local_crypto.clone(), workload, target_epochs, 1);
         let local_sizing = Sizing { n: per_cluster, suite: local_crypto.suite };
         let global_sizing =
             Sizing { n: global_crypto.peer_keys.len(), suite: global_crypto.suite };

@@ -103,20 +103,9 @@ impl Protocol {
         )
     }
 
-    /// Builds the fixed-epoch engine for one node (the pre-redesign
-    /// benchmark shape, kept as the compatibility entry point).
-    pub fn engine(
-        &self,
-        crypto: NodeCrypto,
-        workload: Workload,
-        epochs: u64,
-    ) -> Box<dyn Engine> {
-        self.build_engine(crypto, workload.into(), StopCondition::Epochs(epochs))
-    }
-
-    /// Fixed-epoch engine with a pipeline depth: up to `depth` epochs keep
-    /// their dissemination in flight while earlier ones finish agreement.
-    /// `depth = 1` is exactly [`Protocol::engine`].
+    /// Builds the fixed-epoch engine for one node at a pipeline depth: up to
+    /// `depth` epochs keep their dissemination in flight while earlier ones
+    /// finish agreement. `depth = 1` is the sequential engine.
     pub fn engine_at_depth(
         &self,
         crypto: NodeCrypto,
@@ -129,19 +118,8 @@ impl Protocol {
 
     /// Builds a live-service engine: proposals pull FIFO from the handle's
     /// mempool (at most `max_batch` per epoch) and the engine runs until
-    /// the handle requests a stop, bounded by `max_epochs`.
-    pub fn service_engine(
-        &self,
-        crypto: NodeCrypto,
-        handle: ConsensusHandle,
-        max_batch: usize,
-        max_epochs: u64,
-    ) -> Box<dyn Engine> {
-        self.service_engine_at_depth(crypto, handle, max_batch, max_epochs, 1)
-    }
-
-    /// Live-service engine with a pipeline depth (see
-    /// [`Protocol::engine_at_depth`]).
+    /// the handle requests a stop, bounded by `max_epochs`. `depth` is the
+    /// pipeline depth (see [`Protocol::engine_at_depth`]).
     pub fn service_engine_at_depth(
         &self,
         crypto: NodeCrypto,
@@ -158,15 +136,6 @@ impl Protocol {
         )
     }
 
-    /// Builds a dynamic-membership engine: quorum math, committee slots
-    /// and threshold keys follow the chain-derived committee view in `ctl`
-    /// instead of the fixed genesis deal. HoneyBadger-family deployments
-    /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the Dumbo deployments — their CBC/leader-election lanes
-    /// are not membership-plumbed yet (tracked as a follow-on).
     /// `true` iff [`Protocol::churn_engine`] can build this deployment —
     /// the HoneyBadger-family engines whose quorum lanes consult the
     /// chain-derived committee view.
@@ -181,6 +150,15 @@ impl Protocol {
         )
     }
 
+    /// Builds a dynamic-membership engine: quorum math, committee slots
+    /// and threshold keys follow the chain-derived committee view in `ctl`
+    /// instead of the fixed genesis deal. HoneyBadger-family deployments
+    /// only.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the Dumbo deployments — their CBC/leader-election lanes
+    /// are not membership-plumbed yet (tracked as a follow-on).
     pub fn churn_engine(
         &self,
         crypto: NodeCrypto,
@@ -215,19 +193,9 @@ impl Protocol {
     }
 
     /// Builds the engine for one node from any proposal source and stop
-    /// condition — the general form behind [`Protocol::engine`] and
-    /// [`Protocol::service_engine`].
-    pub fn build_engine(
-        &self,
-        crypto: NodeCrypto,
-        source: BatchSource,
-        stop: StopCondition,
-    ) -> Box<dyn Engine> {
-        self.build_engine_at_depth(crypto, source, stop, 1)
-    }
-
-    /// The general form with a pipeline depth `W ≥ 1` (`W = 1` reproduces
-    /// the sequential engines byte for byte).
+    /// condition at a pipeline depth `W ≥ 1` (`W = 1` reproduces the
+    /// sequential engines byte for byte) — the general form behind
+    /// [`Protocol::engine_at_depth`] and [`Protocol::service_engine_at_depth`].
     pub fn build_engine_at_depth(
         &self,
         crypto: NodeCrypto,

@@ -17,7 +17,7 @@
 use crate::byzantine::ByzantineMode;
 use crate::protocol::Protocol;
 use crate::service::ServiceConfig;
-use crate::testbed::{run, ChurnPlan, CrashPlan, RunReport, TestbedConfig};
+use crate::testbed::{run, validate, ChurnPlan, CrashPlan, RunReport, TestbedConfig};
 use wbft_membership::MembershipOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -141,56 +141,6 @@ impl SweepSpec {
     /// Labels are unique, filesystem-safe and self-describing, e.g.
     /// `beat.mh4.secp160r1+bn158.loss-none.honest.seed7`.
     pub fn expand(&self) -> Vec<Scenario> {
-        // Service runs are single-hop only (clustered service is an open
-        // follow-on); fail loudly rather than at run() inside a worker.
-        assert!(
-            self.services.iter().all(Option::is_none)
-                || self.topologies.iter().all(Option::is_none),
-            "sweep \"{}\" combines a service load with a multi-hop topology — \
-             service runs are single-hop only",
-            self.name
-        );
-        assert!(
-            self.pipeline_depths.iter().all(|&d| d == 1)
-                || self.topologies.iter().all(Option::is_none),
-            "sweep \"{}\" combines a pipeline depth > 1 with a multi-hop topology — \
-             pipelined epochs are single-hop only",
-            self.name
-        );
-        assert!(
-            self.crashes.iter().all(Option::is_none)
-                || (self.topologies.iter().all(Option::is_none)
-                    && self.services.iter().all(Option::is_none)),
-            "sweep \"{}\" combines a crash plan with a multi-hop topology or a \
-             service load — crash/churn runs are single-hop, non-service only",
-            self.name
-        );
-        assert!(
-            self.churns.iter().all(Option::is_none)
-                || (self.topologies.iter().all(Option::is_none)
-                    && self.services.iter().all(Option::is_none)
-                    && self.crashes.iter().all(Option::is_none)
-                    && self.pipeline_depths.iter().all(|&d| d == 1)
-                    && self.placements.iter().all(Vec::is_empty)),
-            "sweep \"{}\" combines a membership churn plan with a multi-hop topology, \
-             service load, crash plan, pipeline depth > 1 or Byzantine placement — \
-             membership churn runs are single-hop, honest, sequential only",
-            self.name
-        );
-        // Reject dishonest axis values before any worker starts: a loss
-        // model that can swallow messages forever or an adversary without
-        // a finite delay bound breaks the eventual-delivery assumption
-        // every liveness claim rests on.
-        for (li, loss) in self.losses.iter().enumerate() {
-            loss.validate().unwrap_or_else(|e| {
-                panic!("sweep \"{}\" loss axis value #{li} is invalid: {e}", self.name)
-            });
-        }
-        if let Some(&protocol) = self.protocols.first() {
-            TestbedConfig::single_hop(protocol).adversary.validate().unwrap_or_else(|e| {
-                panic!("sweep \"{}\" adversary config is invalid: {e}", self.name)
-            });
-        }
         let mut out = Vec::with_capacity(self.len());
         for &protocol in &self.protocols {
             for &topology in &self.topologies {
@@ -257,6 +207,14 @@ impl SweepSpec {
                         }
                     }
                 }
+            }
+        }
+        // Reject invalid points (contradictory axes, a loss model that can
+        // swallow messages forever, ...) before any worker starts, rather
+        // than at run() inside one.
+        for s in &out {
+            if let Err(e) = validate(&s.cfg) {
+                panic!("sweep \"{}\" scenario {} is invalid: {e}", self.name, s.label);
             }
         }
         // Hard check, not a debug_assert: duplicate axis values (e.g.
@@ -499,6 +457,8 @@ mod tests {
     fn churn_axis_expands_and_tags_labels() {
         use crate::testbed::ChurnPlan;
         let mut spec = SweepSpec::new("membership");
+        // Room for the change to activate (commit + ACTIVATION_DELAY).
+        spec.epochs = 5;
         spec.churns = vec![
             None,
             Some(ChurnPlan {
@@ -519,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-hop, honest, sequential only")]
+    #[should_panic(expected = "churn plans do not compose with crash plans")]
     fn churn_crash_sweeps_are_rejected() {
         use crate::testbed::{ChurnPlan, CrashEvent, CrashPlan};
         let mut spec = SweepSpec::new("bad-membership");
@@ -534,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-hop, non-service only")]
+    #[should_panic(expected = "crash plans are single-hop only")]
     fn crash_multihop_sweeps_are_rejected() {
         use crate::testbed::{CrashEvent, CrashPlan};
         let mut spec = SweepSpec::new("bad-churn");
@@ -546,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-hop only")]
+    #[should_panic(expected = "pipelined epochs are single-hop only")]
     fn pipelined_multihop_sweeps_are_rejected() {
         let mut spec = SweepSpec::new("bad");
         spec.topologies = vec![Some(4)];

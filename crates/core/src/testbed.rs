@@ -8,14 +8,15 @@
 //! channel accesses per node, bytes on air, collisions and CPU time.
 
 use crate::byzantine::{ByzantineEngine, ByzantineMode};
-use crate::driver::{Engine, ProtocolNode};
+use crate::driver::{Block, Engine, ProtocolNode};
+use crate::fuzz::FuzzVerdict;
 use crate::membership::MembershipCtl;
 use crate::multihop::ClusterNode;
 use crate::protocol::Protocol;
 use crate::recovery::BlockJournal;
 use crate::service::{ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats};
 use crate::workload::Workload;
-use wbft_components::deal_node_crypto;
+use wbft_components::{deal_node_crypto, deal_node_crypto_with_joiners, NodeCrypto};
 use wbft_crypto::CryptoSuite;
 use wbft_membership::{MembershipOp, ACTIVATION_DELAY};
 use wbft_journal::SharedMem;
@@ -247,54 +248,63 @@ pub(crate) fn finish_report(
 
 /// Checks a config describes a simulable scenario: the loss model must
 /// leave eventual delivery intact, the adversary must be honest about its
-/// delay bound, and any scheduler config must be well-formed. Panics
-/// loudly — a scenario that breaks the model's standing assumptions would
-/// produce a report whose correctness claims are vacuous.
-pub fn validate(cfg: &TestbedConfig) {
-    if let Err(e) = cfg.loss.validate() {
-        panic!("invalid loss config: {e}");
+/// delay bound, any scheduler config must be well-formed, and the fault and
+/// workload axes must compose. Returns the reason for the first rejection —
+/// a scenario that breaks the model's standing assumptions would produce a
+/// report whose correctness claims are vacuous, so [`run`] panics on it.
+pub fn validate(cfg: &TestbedConfig) -> Result<(), String> {
+    if cfg.service.is_some() && cfg.clusters.is_some() {
+        return Err("service runs are single-hop only (clustered service is a follow-on)".into());
     }
-    if let Err(e) = cfg.adversary.validate() {
-        panic!("invalid adversary config: {e}");
-    }
+    cfg.loss.validate().map_err(|e| format!("invalid loss config: {e}"))?;
+    cfg.adversary.validate().map_err(|e| format!("invalid adversary config: {e}"))?;
     if let Some(sched) = &cfg.sched {
-        if let Err(e) = sched.validate() {
-            panic!("invalid scheduler config: {e}");
-        }
+        sched.validate().map_err(|e| format!("invalid scheduler config: {e}"))?;
     }
     if cfg.pipeline_depth == 0 {
-        panic!("invalid pipeline depth: 0 (W >= 1; W = 1 is sequential)");
+        return Err("invalid pipeline depth: 0 (W >= 1; W = 1 is sequential)".into());
     }
     if cfg.clusters.is_some() && cfg.pipeline_depth != 1 {
-        panic!("pipelined epochs are single-hop only (clustered pipelining is a follow-on)");
+        return Err(
+            "pipelined epochs are single-hop only (clustered pipelining is a follow-on)".into()
+        );
     }
     if let Some(plan) = &cfg.crash {
         if cfg.clusters.is_some() {
-            panic!("crash plans are single-hop only");
+            return Err("crash plans are single-hop only".into());
         }
         if cfg.service.is_some() {
-            panic!("crash plans do not compose with service mode (follow-on)");
+            return Err("crash plans do not compose with service mode (follow-on)".into());
         }
         if plan.crashes.is_empty() {
-            panic!("crash plan has no events (use crash: None for no churn)");
+            return Err("crash plan has no events (use crash: None for no churn)".into());
         }
         let deadline_us = cfg.deadline.as_micros();
         let mut seen: Vec<usize> = Vec::new();
         for ev in &plan.crashes {
             if ev.node >= cfg.n {
-                panic!("crash event names node {} but n = {}", ev.node, cfg.n);
+                return Err(format!("crash event names node {} but n = {}", ev.node, cfg.n));
             }
             if ev.restart_us <= ev.at_us {
-                panic!("crash of node {} restarts at {}us, not after {}us", ev.node, ev.restart_us, ev.at_us);
+                return Err(format!(
+                    "crash of node {} restarts at {}us, not after {}us",
+                    ev.node, ev.restart_us, ev.at_us
+                ));
             }
             if ev.restart_us >= deadline_us {
-                panic!("crash of node {} restarts after the {}us deadline", ev.node, deadline_us);
+                return Err(format!(
+                    "crash of node {} restarts after the {}us deadline",
+                    ev.node, deadline_us
+                ));
             }
             if cfg.byzantine.iter().any(|(b, _)| *b == ev.node) {
-                panic!("node {} is both Byzantine and crash-scheduled", ev.node);
+                return Err(format!("node {} is both Byzantine and crash-scheduled", ev.node));
             }
             if seen.contains(&ev.node) {
-                panic!("node {} crashes more than once (one event per node)", ev.node);
+                return Err(format!(
+                    "node {} crashes more than once (one event per node)",
+                    ev.node
+                ));
             }
             seen.push(ev.node);
         }
@@ -303,43 +313,44 @@ pub fn validate(cfg: &TestbedConfig) {
         // sizes tolerate or the liveness claim is vacuous.
         let f = cfg.n.saturating_sub(1) / 3;
         if seen.len() + cfg.byzantine.len() > f {
-            panic!(
+            return Err(format!(
                 "{} crashed + {} Byzantine nodes exceed f = {} for n = {}",
                 seen.len(),
                 cfg.byzantine.len(),
                 f,
                 cfg.n
-            );
+            ));
         }
     }
     if let Some(plan) = &cfg.churn {
         if cfg.clusters.is_some() {
-            panic!("churn plans are single-hop only (clustered churn is a follow-on)");
+            return Err("churn plans are single-hop only (clustered churn is a follow-on)".into());
         }
         if cfg.service.is_some() {
-            panic!("churn plans do not compose with service mode (follow-on)");
+            return Err("churn plans do not compose with service mode (follow-on)".into());
         }
         if cfg.pipeline_depth != 1 {
-            panic!("churn plans require pipeline depth 1 (pipelined churn is a follow-on)");
-        }
-        if !cfg.byzantine.is_empty() {
-            panic!("churn plans do not compose with Byzantine nodes (follow-on)");
-        }
-        if cfg.crash.is_some() {
-            panic!("churn plans do not compose with crash plans (follow-on)");
-        }
-        if !cfg.protocol.supports_churn() {
-            panic!(
-                "dynamic membership is HoneyBadger-family only for now \
-                 (Dumbo churn is a follow-on)"
+            return Err(
+                "churn plans require pipeline depth 1 (pipelined churn is a follow-on)".into()
             );
         }
+        if !cfg.byzantine.is_empty() {
+            return Err("churn plans do not compose with Byzantine nodes (follow-on)".into());
+        }
+        if cfg.crash.is_some() {
+            return Err("churn plans do not compose with crash plans (follow-on)".into());
+        }
+        if !cfg.protocol.supports_churn() {
+            return Err("dynamic membership is HoneyBadger-family only for now \
+                 (Dumbo churn is a follow-on)"
+                .into());
+        }
         if plan.ops.is_empty() {
-            panic!("churn plan has no ops (use churn: None for a static committee)");
+            return Err("churn plan has no ops (use churn: None for a static committee)".into());
         }
         for (i, op) in plan.ops.iter().enumerate() {
             if plan.ops[..i].contains(op) {
-                panic!("churn plan repeats {op}");
+                return Err(format!("churn plan repeats {op}"));
             }
         }
         let mut join_ids: Vec<usize> = Vec::new();
@@ -348,13 +359,19 @@ pub fn validate(cfg: &TestbedConfig) {
             match op {
                 MembershipOp::Join(id) => {
                     if (*id as usize) < cfg.n {
-                        panic!("churn {op} names a genesis member (ids below n = {})", cfg.n);
+                        return Err(format!(
+                            "churn {op} names a genesis member (ids below n = {})",
+                            cfg.n
+                        ));
                     }
                     join_ids.push(*id as usize);
                 }
                 MembershipOp::Leave(id) => {
                     if (*id as usize) >= cfg.n {
-                        panic!("churn {op} names a node outside the genesis committee (n = {})", cfg.n);
+                        return Err(format!(
+                            "churn {op} names a node outside the genesis committee (n = {})",
+                            cfg.n
+                        ));
                     }
                     leaves += 1;
                 }
@@ -366,42 +383,54 @@ pub fn validate(cfg: &TestbedConfig) {
         join_ids.sort_unstable();
         for (k, id) in join_ids.iter().enumerate() {
             if *id != cfg.n + k {
-                panic!(
+                return Err(format!(
                     "churn joins must use contiguous fresh ids from n = {} (got join({id}))",
                     cfg.n
-                );
+                ));
             }
         }
         let new_n = cfg.n + join_ids.len() - leaves;
         if new_n < 4 || !(new_n - 1).is_multiple_of(3) {
-            panic!("churn plan leaves an invalid committee size {new_n} (need 3f+1 >= 4)");
+            return Err(format!(
+                "churn plan leaves an invalid committee size {new_n} (need 3f+1 >= 4)"
+            ));
         }
         // The change commits no earlier than `from_epoch` and activates
         // ACTIVATION_DELAY epochs later; at least one epoch must run under
         // the new committee or the plan is dead weight.
         if plan.from_epoch + ACTIVATION_DELAY >= cfg.epochs {
-            panic!(
+            return Err(format!(
                 "churn from epoch {} cannot activate within {} epochs \
                  (activation = commit + {ACTIVATION_DELAY})",
                 plan.from_epoch, cfg.epochs
-            );
+            ));
         }
     }
+    Ok(())
 }
 
 /// Executes one experiment.
+///
+/// # Panics
+///
+/// Panics with [`validate`]'s reason on an invalid config, and on a broken
+/// single-hop run invariant: an honest chain that disagrees with the
+/// reference, a crashed node's journal that does not replay to it, or — once
+/// the run completed — chains that are not level or a churn op that never
+/// committed.
 pub fn run(cfg: &TestbedConfig) -> RunReport {
-    assert!(
-        cfg.service.is_none() || cfg.clusters.is_none(),
-        "service runs are single-hop only (clustered service is a follow-on)"
-    );
-    validate(cfg);
-    match (cfg.clusters, &cfg.service) {
-        (Some(m), _) => run_multi_hop(cfg, m),
-        (None, Some(svc)) => run_service_single_hop(cfg, svc),
-        (None, None) if cfg.churn.is_some() => run_single_hop_with_churn(cfg),
-        (None, None) if cfg.crash.is_some() => run_single_hop_with_crashes(cfg),
-        (None, None) => run_single_hop(cfg),
+    if let Err(e) = validate(cfg) {
+        panic!("{e}");
+    }
+    match cfg.clusters {
+        Some(m) => run_multi_hop(cfg, m),
+        None => {
+            let run = SingleHop::run(cfg, u64::MAX);
+            if let Err((_, violation)) = run.judge(cfg) {
+                panic!("{violation}");
+            }
+            run.report(cfg)
+        }
     }
 }
 
@@ -423,502 +452,282 @@ fn sim_config(cfg: &TestbedConfig) -> SimConfig {
     }
 }
 
-/// Deals the cryptographic identities of a churn run. Node *identity* is
-/// static — all `n_total` nodes (genesis members and future joiners alike)
-/// hold a packet keypair and everyone's verification keys from the start;
-/// *committee membership* is what changes at runtime. The threshold deals
-/// are sized to the `n_genesis`-node genesis committee: genesis members
-/// get real secret shares, while joiners (ids `n_genesis..`) get the
-/// genesis *public* sets — they need them to verify certificates on the
-/// chain they bootstrap — plus placeholder zero secret shares at their own
-/// index. A placeholder share used before the resharing ceremony hands the
-/// joiner real shares produces shares that fail verification loudly
-/// instead of silently combining into garbage.
-pub fn deal_churn_crypto(
-    n_genesis: usize,
-    n_total: usize,
-    suite: CryptoSuite,
-    rng: &mut impl rand::RngCore,
-) -> Vec<wbft_components::NodeCrypto> {
-    use wbft_crypto::schnorr::{KeyPair, PublicKey};
-    use wbft_crypto::{Scalar, ShareIndex};
-    assert!(
-        n_genesis >= 4 && (n_genesis - 1).is_multiple_of(3),
-        "need genesis n = 3f+1 >= 4, got {n_genesis}"
-    );
-    assert!(n_total >= n_genesis, "total node count below the genesis committee");
-    let f = (n_genesis - 1) / 3;
-    let keypairs: Vec<KeyPair> =
-        (0..n_total).map(|_| KeyPair::generate(suite.ecdsa, rng)).collect();
-    let peer_keys: Vec<PublicKey> = keypairs.iter().map(|k| k.public()).collect();
-    let (prbc_pub, prbc_secs) = wbft_crypto::thresh_sig::deal(n_genesis, f, suite.threshold, rng);
-    let (cbc_pub, cbc_secs) =
-        wbft_crypto::thresh_sig::deal(n_genesis, 2 * f, suite.threshold, rng);
-    let (coin_pub, coin_secs) =
-        wbft_crypto::thresh_coin::deal_coin(n_genesis, f, suite.threshold, rng);
-    let (enc_pub, enc_secs) = wbft_crypto::thresh_enc::deal_enc(n_genesis, f, suite.threshold, rng);
-    (0..n_total)
-        .map(|me| {
-            let idx = ShareIndex::for_node(me);
-            let (prbc_sec, cbc_sec, coin_sec, enc_sec) = if me < n_genesis {
-                (
-                    prbc_secs[me].clone(),
-                    cbc_secs[me].clone(),
-                    coin_secs[me].clone(),
-                    enc_secs[me].clone(),
-                )
-            } else {
-                (
-                    wbft_crypto::thresh_sig::SecretKeyShare::from_parts(
-                        idx,
-                        Scalar::ZERO,
-                        suite.threshold,
-                    ),
-                    wbft_crypto::thresh_sig::SecretKeyShare::from_parts(
-                        idx,
-                        Scalar::ZERO,
-                        suite.threshold,
-                    ),
-                    wbft_crypto::thresh_coin::CoinSecretShare::from_parts(idx, Scalar::ZERO),
-                    wbft_crypto::thresh_enc::EncSecretShare::from_parts(idx, Scalar::ZERO),
-                )
-            };
-            wbft_components::NodeCrypto {
-                me,
-                suite,
-                keypair: keypairs[me].clone(),
-                peer_keys: peer_keys.clone(),
-                key_epoch: 0,
-                prbc_pub: prbc_pub.clone(),
-                prbc_sec,
-                cbc_pub: cbc_pub.clone(),
-                cbc_sec,
-                coin_pub: coin_pub.clone(),
-                coin_sec,
-                enc_pub: enc_pub.clone(),
-                enc_sec,
-            }
-        })
-        .collect()
+type Node = ProtocolNode<Box<dyn Engine>>;
+
+/// A single-hop run of any config — plain, Byzantine, pipelined, service,
+/// crash or churn — built, run and judged the same way for [`run`] and
+/// [`crate::fuzz::run_case`].
+pub(crate) struct SingleHop {
+    pub(crate) sim: Simulator<Node>,
+    /// Every node but the Byzantine placements.
+    honest: Vec<bool>,
+    /// The completion predicate held when the run stopped.
+    pub(crate) completed: bool,
+    /// Dealt identities: a restart re-instantiates a node with its own.
+    crypto: Vec<NodeCrypto>,
+    /// Durable per-node stores (crash plans only) — the sim's stand-in for
+    /// each node's disk, outliving the crashed incarnations.
+    stores: Vec<SharedMem>,
+    /// Per-node service handles (service loads only).
+    handles: Vec<ConsensusHandle>,
 }
 
-/// Builds the single-hop simulator and honesty mask shared by the standard
-/// run path and the fuzz harness's observed runs.
-pub(crate) fn build_single_hop(
-    cfg: &TestbedConfig,
-) -> (Simulator<ProtocolNode<Box<dyn Engine>>>, Vec<bool>) {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng);
-    let honest: Vec<bool> = (0..cfg.n)
-        .map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i))
-        .collect();
-    let behaviors: Vec<_> = crypto
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let engine = cfg.protocol.engine_at_depth(
-                c.clone(),
-                cfg.workload.clone(),
-                cfg.epochs,
-                cfg.pipeline_depth,
-            );
-            let engine: Box<dyn Engine> =
-                match cfg.byzantine.iter().find(|(b, _)| *b == i) {
-                    Some((_, mode)) => Box::new(ByzantineEngine::new(engine, *mode)),
-                    None => engine,
-                };
-            ProtocolNode::new(engine, c, ChannelId(0))
-        })
-        .collect();
-    let mut sim = Simulator::new(sim_config(cfg), Topology::single_hop(cfg.n), behaviors);
-    install_scheduler(cfg, &mut sim);
-    (sim, honest)
-}
-
-fn run_single_hop(cfg: &TestbedConfig) -> RunReport {
-    let (mut sim, honest) = build_single_hop(cfg);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    let completed = sim.run_until_pred(deadline, |s| {
-        s.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done())
-    });
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.clock().completed.clone())
-        .collect();
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    // Cross-node agreement is a hard invariant — check it on every run.
-    for (id, b) in sim.behaviors() {
-        if honest[id.index()] && completed {
-            assert_eq!(b.blocks(), &reference[..], "agreement violated at {id}");
-        }
-    }
-    finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
-}
-
-/// Builds one journaled, sync-capable node for a crash run. `recover`
-/// replays whatever the durable store holds before the engine starts, so
-/// the same constructor serves both cold boot (empty store) and restart.
-fn build_crash_node(
-    cfg: &TestbedConfig,
-    i: usize,
-    crypto: wbft_components::NodeCrypto,
-    store: &SharedMem,
-) -> ProtocolNode<Box<dyn Engine>> {
-    let (journal, blocks) = BlockJournal::open(Box::new(store.clone()))
-        .expect("durable journal recovery failed");
-    let recovered = blocks.len();
-    let mut engine = cfg.protocol.engine_at_depth(
-        crypto.clone(),
-        cfg.workload.clone(),
-        cfg.epochs,
-        cfg.pipeline_depth,
-    );
-    engine.restore_chain(blocks);
-    let engine: Box<dyn Engine> = match cfg.byzantine.iter().find(|(b, _)| *b == i) {
-        Some((_, mode)) => Box::new(ByzantineEngine::new(engine, *mode)),
-        None => engine,
-    };
-    ProtocolNode::new(engine, crypto, ChannelId(0))
-        .with_recovered(recovered)
-        .with_journal(journal)
-        .with_sync(ChannelId(SYNC_CHANNEL))
-}
-
-/// Everything a crash run's restart actions need beyond the simulator
-/// itself: the honest mask, the durable per-node stores, and the dealt
-/// crypto (restarts re-instantiate a node with its original identity).
-pub(crate) type CrashSetup = (
-    Simulator<ProtocolNode<Box<dyn Engine>>>,
-    Vec<bool>,
-    Vec<SharedMem>,
-    Vec<wbft_components::NodeCrypto>,
-);
-
-/// Builds the journaled, sync-capable single-hop simulator for a crash
-/// run, plus the durable stores and dealt crypto the restart actions need.
-/// Shared by the standard crash path and the fuzz harness.
-pub(crate) fn build_crash_single_hop(cfg: &TestbedConfig) -> CrashSetup {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng);
-    let honest: Vec<bool> = (0..cfg.n)
-        .map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i))
-        .collect();
-    // The durable stores outlive the crashed incarnations — they are the
-    // sim's stand-in for each node's disk.
-    let stores: Vec<SharedMem> = (0..cfg.n).map(|_| SharedMem::new()).collect();
-    let behaviors: Vec<_> = crypto
-        .iter()
-        .enumerate()
-        .map(|(i, c)| build_crash_node(cfg, i, c.clone(), &stores[i]))
-        .collect();
-    let mut topo = Topology::single_hop(cfg.n);
-    for i in 0..cfg.n {
-        topo.join_channel(NodeId(i as u16), ChannelId(SYNC_CHANNEL));
-    }
-    let mut sim = Simulator::new(sim_config(cfg), topo, behaviors);
-    install_scheduler(cfg, &mut sim);
-    (sim, honest, stores, crypto)
-}
-
-/// Phased execution of the crash plan: advances simulated time to each
-/// crash/restart in order and performs the action. On return every node is
-/// up again and the caller runs the sim to completion.
-pub(crate) fn apply_crash_timeline(
-    cfg: &TestbedConfig,
-    sim: &mut Simulator<ProtocolNode<Box<dyn Engine>>>,
-    crypto: &[wbft_components::NodeCrypto],
-    stores: &[SharedMem],
-) {
-    enum Action {
-        Crash(usize),
-        Restart(usize),
-    }
-    let Some(plan) = &cfg.crash else { return };
-    let mut actions: Vec<(u64, Action)> = Vec::new();
-    for ev in &plan.crashes {
-        actions.push((ev.at_us, Action::Crash(ev.node)));
-        actions.push((ev.restart_us, Action::Restart(ev.node)));
-    }
-    actions.sort_by_key(|(t, _)| *t);
-    for (t, action) in actions {
-        sim.run_until(SimTime::ZERO + SimDuration::from_micros(t));
-        match action {
-            Action::Crash(i) => sim.crash_node(NodeId(i as u16)),
-            Action::Restart(i) => {
-                let node = build_crash_node(cfg, i, crypto[i].clone(), &stores[i]);
-                sim.restart_node(NodeId(i as u16), node);
-            }
-        }
-    }
-}
-
-/// [`run_single_hop`] with the crash/churn axis engaged: every node
-/// journals commits to an in-memory durable store and listens on the
-/// reserved sync channel; the plan's nodes are crashed (volatile state
-/// dropped, in-flight frames cut) and restarted (journal replayed, chain
-/// caught up via anti-entropy) at their scheduled times.
-fn run_single_hop_with_crashes(cfg: &TestbedConfig) -> RunReport {
-    let plan = cfg.crash.clone().expect("crash path requires a plan");
-    let (mut sim, honest, stores, crypto) = build_crash_single_hop(cfg);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    apply_crash_timeline(cfg, &mut sim, &crypto, &stores);
-    // Completion demands the restarted nodes too: a node that recovered
-    // its journal but never caught up keeps the run from completing.
-    let completed = sim.run_until_pred(deadline, |s| {
-        s.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done())
-    });
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.clock().completed.clone())
-        .collect();
-    let never_crashed_honest = |i: usize| -> bool {
-        honest[i] && !plan.crashes.iter().any(|ev| ev.node == i)
-    };
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| never_crashed_honest(id.index()))
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    for (id, b) in sim.behaviors() {
-        if honest[id.index()] {
-            // Prefix agreement always; level chains once completed — a
-            // restarted node must have converged with the survivors.
-            let common = b.blocks().len().min(reference.len());
-            assert_eq!(&b.blocks()[..common], &reference[..common], "agreement violated at {id}");
-            if completed {
-                assert_eq!(b.blocks().len(), reference.len(), "chains not level at {id}");
-            }
-        }
-    }
-    // The durable stores must themselves replay to the agreed chain — the
-    // journal is the recovery story, so check it, not just the engines.
-    for ev in &plan.crashes {
-        let (_, blocks) = BlockJournal::open(Box::new(stores[ev.node].clone()))
-            .expect("post-run journal replay failed");
-        let common = blocks.len().min(reference.len());
-        assert_eq!(
-            crate::recovery::chain_digests(&blocks[..common]),
-            crate::recovery::chain_digests(&reference[..common]),
-            "journal of node {} diverged from the agreed chain",
-            ev.node
-        );
-    }
-    finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
-}
-
-/// Builds the single-hop simulator for a dynamic-membership run: all
-/// `n_total` nodes (genesis members plus scheduled joiners) from the
-/// start, every one sync-capable and membership-aware. The honesty mask is
-/// all-true (churn plans are honest-only). Shared by the standard churn
-/// path and the fuzz harness.
-pub(crate) fn build_churn_single_hop(
-    cfg: &TestbedConfig,
-) -> (Simulator<ProtocolNode<Box<dyn Engine>>>, Vec<bool>) {
-    use rand::SeedableRng;
-    let plan = cfg.churn.clone().expect("churn path requires a plan");
-    let n_total = plan
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            MembershipOp::Join(id) => Some(*id as usize + 1),
-            MembershipOp::Leave(_) => None,
-        })
-        .max()
-        .unwrap_or(cfg.n)
-        .max(cfg.n);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_churn_crypto(cfg.n, n_total, cfg.suite, &mut rng);
-    let behaviors: Vec<_> = crypto
-        .into_iter()
-        .map(|c| {
-            let mut ctl = MembershipCtl::new(c.clone(), cfg.n);
-            // Genesis members sponsor the change; joiners cannot propose
-            // until they are members, so they schedule nothing.
-            if c.me < cfg.n {
-                for op in &plan.ops {
-                    ctl.schedule_op(plan.from_epoch, *op);
-                }
-            }
-            let engine =
-                cfg.protocol.churn_engine(c.clone(), ctl, cfg.workload.clone(), cfg.epochs);
-            ProtocolNode::new(engine, c, ChannelId(0)).with_sync(ChannelId(SYNC_CHANNEL))
-        })
-        .collect();
-    let mut topo = Topology::single_hop(n_total);
-    for i in 0..n_total {
-        topo.join_channel(NodeId(i as u16), ChannelId(SYNC_CHANNEL));
-    }
-    let mut sim = Simulator::new(sim_config(cfg), topo, behaviors);
-    install_scheduler(cfg, &mut sim);
-    let honest = vec![true; n_total];
-    (sim, honest)
-}
-
-/// [`run_single_hop`] with the dynamic-membership axis engaged. All
-/// `n_total` nodes (genesis members plus scheduled joiners) are simulated
-/// from the start: joiners idle until they bootstrap the chain over the
-/// anti-entropy sync channel, genesis members inject the plan's ops into
-/// their proposals, and once the ops commit the old committee reshare's
-/// canonical dealers hand the threshold keys to the new committee before
-/// it activates. Completion requires every node — leavers and joiners
-/// included — to hold the full agreed chain.
-fn run_single_hop_with_churn(cfg: &TestbedConfig) -> RunReport {
-    let plan = cfg.churn.clone().expect("churn path requires a plan");
-    let (mut sim, _) = build_churn_single_hop(cfg);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    // Every node gates completion: leavers and joiners finish by adopting
-    // the agreed chain over the sync channel.
-    let completed = sim.run_until_pred(deadline, |s| s.behaviors().all(|(_, b)| b.is_done()));
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> =
-        sim.behaviors().map(|(_, b)| b.clock().completed.clone()).collect();
-    // Reference chain: a genesis member that never leaves — it follows the
-    // whole run natively, before and after activation.
-    let survives = |i: usize| -> bool {
-        i < cfg.n && !plan.ops.contains(&MembershipOp::Leave(i as u16))
-    };
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| survives(id.index()))
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    for (id, b) in sim.behaviors() {
-        // Prefix agreement always; level chains once completed — the
-        // honest digest chains of old and new members alike must agree as
-        // a common prefix of the same ledger.
-        let common = b.blocks().len().min(reference.len());
-        assert_eq!(&b.blocks()[..common], &reference[..common], "agreement violated at {id}");
-        if completed {
-            assert_eq!(b.blocks().len(), reference.len(), "chains not level at {id}");
-        }
-    }
-    if completed {
-        // The plan must actually have bitten inside the run: every
-        // scheduled op sits committed in the agreed chain.
-        let committed: Vec<MembershipOp> = reference
+impl SingleHop {
+    /// Deals and builds `cfg`, executes its crash plan, then runs until the
+    /// completion predicate holds, the deadline passes, or the simulator
+    /// has processed `event_budget` events.
+    pub(crate) fn run(cfg: &TestbedConfig, event_budget: u64) -> Self {
+        use rand::SeedableRng;
+        // A churn run simulates every scheduled joiner from the start.
+        let n_total = cfg
+            .churn
             .iter()
-            .flat_map(|b| b.txs.iter().filter_map(|tx| wbft_membership::decode_op(tx.as_ref())))
-            .collect();
-        for op in &plan.ops {
-            assert!(committed.contains(op), "churn op {op} never committed");
-        }
-    }
-    finish_report(completed, elapsed, decision_times, total_txs, sim.metrics().clone(), cfg.epochs)
-}
-
-/// The live-service counterpart of [`run_single_hop`]: every node owns a
-/// [`ConsensusHandle`] whose mempool is fed by the deterministic open-loop
-/// arrival schedule (injected through driver timers), epochs pull
-/// proposals from the pool, and the run completes when every honest node's
-/// submissions are resolved and all honest chains are level. The report
-/// carries the standard figures plus a [`ServiceReport`] with per-tx
-/// commit-latency percentiles and backpressure counters.
-fn run_service_single_hop(cfg: &TestbedConfig, svc: &ServiceConfig) -> RunReport {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
-    let crypto = deal_node_crypto(cfg.n, cfg.suite, &mut rng);
-    let honest: Vec<bool> = (0..cfg.n)
-        .map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i))
-        .collect();
-    let handles: Vec<ConsensusHandle> =
-        (0..cfg.n).map(|_| ConsensusHandle::new(svc.mempool_capacity)).collect();
-    let behaviors: Vec<_> = crypto
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let engine = cfg.protocol.service_engine_at_depth(
-                c.clone(),
-                handles[i].clone(),
-                cfg.workload.batch_size,
-                svc.max_epochs,
-                cfg.pipeline_depth,
-            );
-            let engine: Box<dyn Engine> =
-                match cfg.byzantine.iter().find(|(b, _)| *b == i) {
-                    Some((_, mode)) => Box::new(ByzantineEngine::new(engine, *mode)),
-                    None => engine,
-                };
-            ProtocolNode::new(engine, c, ChannelId(0))
-                .with_service(handles[i].clone(), svc.arrivals.schedule(i))
-        })
-        .collect();
-    let mut sim = Simulator::new(sim_config(cfg), Topology::single_hop(cfg.n), behaviors);
-    install_scheduler(cfg, &mut sim);
-    let deadline = SimTime::ZERO + cfg.deadline;
-    let expected = svc.arrivals.per_node;
-    let completed = sim.run_until_pred(deadline, |s| {
-        // Every honest node saw its full arrival schedule and resolved
-        // every admitted transaction into a block...
-        let drained = handles
+            .flat_map(|plan| &plan.ops)
+            .filter_map(|op| match op {
+                MembershipOp::Join(id) => Some(*id as usize + 1),
+                MembershipOp::Leave(_) => None,
+            })
+            .fold(cfg.n, usize::max);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xdea1);
+        let crypto = deal_node_crypto_with_joiners(cfg.n, n_total, cfg.suite, &mut rng);
+        let honest: Vec<bool> =
+            (0..n_total).map(|i| !cfg.byzantine.iter().any(|(b, _)| *b == i)).collect();
+        let stores: Vec<SharedMem> = match cfg.crash {
+            Some(_) => (0..cfg.n).map(|_| SharedMem::new()).collect(),
+            None => Vec::new(),
+        };
+        let handles: Vec<ConsensusHandle> = match &cfg.service {
+            Some(svc) => (0..cfg.n).map(|_| ConsensusHandle::new(svc.mempool_capacity)).collect(),
+            None => Vec::new(),
+        };
+        let nodes: Vec<Node> = crypto
             .iter()
             .enumerate()
-            .filter(|(i, _)| honest[*i])
-            .all(|(_, h)| h.submissions() == expected && h.drained());
-        // ...and the honest chains are level (no node still waiting on the
-        // final commit), so the agreement check below sees whole chains.
-        drained && {
-            let mut lens =
-                s.behaviors().filter(|(id, _)| honest[id.index()]).map(|(_, b)| b.blocks().len());
-            let first = lens.next().unwrap_or(0);
-            lens.all(|l| l == first)
+            .map(|(i, c)| build_node(cfg, c.clone(), stores.get(i), handles.get(i)))
+            .collect();
+        let mut topo = Topology::single_hop(n_total);
+        if cfg.crash.is_some() || cfg.churn.is_some() {
+            for i in 0..n_total {
+                topo.join_channel(NodeId(i as u16), ChannelId(SYNC_CHANNEL));
+            }
         }
-    });
-    let elapsed = sim.now().saturating_since(SimTime::ZERO);
-    let decision_times: Vec<Vec<SimTime>> = sim
-        .behaviors()
-        .filter(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.clock().completed.clone())
-        .collect();
-    let reference = sim
-        .behaviors()
-        .find(|(id, _)| honest[id.index()])
-        .map(|(_, b)| b.blocks().to_vec())
-        .unwrap_or_default();
-    let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
-    // Prefix agreement is the BFT invariant; when the run completed the
-    // predicate already levelled the chains, so prefixes are whole chains.
-    for (id, b) in sim.behaviors() {
-        if honest[id.index()] {
-            let common = b.blocks().len().min(reference.len());
-            assert_eq!(
-                &b.blocks()[..common],
-                &reference[..common],
-                "agreement violated at {id}"
-            );
-            if completed {
-                assert_eq!(b.blocks().len(), reference.len(), "chains not level at {id}");
+        let mut sim = Simulator::new(sim_config(cfg), topo, nodes);
+        install_scheduler(cfg, &mut sim);
+        let mut run = SingleHop { sim, honest, completed: false, crypto, stores, handles };
+        run.crash_timeline(cfg);
+        let deadline = SimTime::ZERO + cfg.deadline;
+        run.sim.run_until_pred(deadline, |s| {
+            s.events_processed() >= event_budget || complete(cfg, &run.honest, &run.handles, s)
+        });
+        run.completed = complete(cfg, &run.honest, &run.handles, &run.sim);
+        run
+    }
+
+    /// Phased execution of the crash plan: advances simulated time to each
+    /// crash and restart in order and performs it. On return every node is
+    /// up again.
+    fn crash_timeline(&mut self, cfg: &TestbedConfig) {
+        let Some(plan) = &cfg.crash else { return };
+        let mut actions: Vec<(u64, usize, bool)> = plan
+            .crashes
+            .iter()
+            .flat_map(|ev| [(ev.at_us, ev.node, false), (ev.restart_us, ev.node, true)])
+            .collect();
+        actions.sort_by_key(|(t, ..)| *t);
+        for (t, i, restart) in actions {
+            self.sim.run_until(SimTime::ZERO + SimDuration::from_micros(t));
+            if restart {
+                let crypto = self.crypto[i].clone();
+                let node = build_node(cfg, crypto, self.stores.get(i), self.handles.get(i));
+                self.sim.restart_node(NodeId(i as u16), node);
+            } else {
+                self.sim.crash_node(NodeId(i as u16));
             }
         }
     }
-    let stats: Vec<ServiceStats> = handles
+
+    /// The honest nodes, in id order.
+    pub(crate) fn honest_nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+        self.sim.behaviors().filter(|(id, _)| self.honest[id.index()])
+    }
+
+    /// The agreement reference: the chain of the first honest node that
+    /// never crashes and never leaves the committee — it follows the whole
+    /// run natively.
+    pub(crate) fn reference(&self, cfg: &TestbedConfig) -> &[Block] {
+        let crashes = |i: usize| cfg.crash.iter().flat_map(|p| &p.crashes).any(|ev| ev.node == i);
+        let leaves =
+            |i: usize| cfg.churn.iter().any(|p| p.ops.contains(&MembershipOp::Leave(i as u16)));
+        self.honest_nodes()
+            .find(|(id, _)| !crashes(id.index()) && !leaves(id.index()))
+            .map_or(&[], |(_, b)| b.blocks())
+    }
+
+    /// Checks the run's invariants against the reference chain: every
+    /// honest chain is a prefix of it (or extends it), every crashed node's
+    /// journal replays to it, and — once the run completed — every honest
+    /// chain is level with it and every churn op sits committed in it.
+    /// A violation comes back as the fuzz verdict it amounts to plus the
+    /// message [`run`] panics with.
+    pub(crate) fn judge(&self, cfg: &TestbedConfig) -> Result<(), (FuzzVerdict, String)> {
+        let reference = self.reference(cfg);
+        let agrees = |chain: &[Block]| {
+            let common = chain.len().min(reference.len());
+            chain[..common] == reference[..common]
+        };
+        if let Some((id, _)) = self.honest_nodes().find(|(_, b)| !agrees(b.blocks())) {
+            return Err((FuzzVerdict::Divergence, format!("agreement violated at {id}")));
+        }
+        // The durable stores must themselves replay to the agreed chain —
+        // the journal is the recovery story, so check it, not just the
+        // engines.
+        for ev in cfg.crash.iter().flat_map(|p| &p.crashes) {
+            let replayed = BlockJournal::open(Box::new(self.stores[ev.node].clone()));
+            if !replayed.is_ok_and(|(_, blocks)| agrees(&blocks)) {
+                let msg = format!("journal of node {} diverged from the agreed chain", ev.node);
+                return Err((FuzzVerdict::Divergence, msg));
+            }
+        }
+        if !self.completed {
+            return Ok(());
+        }
+        let unlevel = self.honest_nodes().find(|(_, b)| b.blocks().len() != reference.len());
+        if let Some((id, _)) = unlevel {
+            return Err((FuzzVerdict::Stall, format!("chains not level at {id}")));
+        }
+        // A membership plan must actually have bitten inside the run.
+        for op in cfg.churn.iter().flat_map(|p| &p.ops) {
+            let committed = reference
+                .iter()
+                .flat_map(|b| &b.txs)
+                .any(|tx| wbft_membership::decode_op(tx.as_ref()) == Some(*op));
+            if !committed {
+                return Err((FuzzVerdict::Stall, format!("churn op {op} never committed")));
+            }
+        }
+        Ok(())
+    }
+
+    /// The run's figures: per-epoch latency over the honest nodes, the
+    /// reference chain's transactions, and under a service load the honest
+    /// handles' aggregated statistics.
+    fn report(&self, cfg: &TestbedConfig) -> RunReport {
+        let decision_times: Vec<Vec<SimTime>> =
+            self.honest_nodes().map(|(_, b)| b.clock().completed.clone()).collect();
+        let reference = self.reference(cfg);
+        let total_txs: u64 = reference.iter().map(|b| b.txs.len() as u64).sum();
+        // A service run's epoch count is whatever its load needed.
+        let epochs = if cfg.service.is_some() { reference.len() as u64 } else { cfg.epochs };
+        let mut report = finish_report(
+            self.completed,
+            self.sim.now().saturating_since(SimTime::ZERO),
+            decision_times,
+            total_txs,
+            self.sim.metrics().clone(),
+            epochs,
+        );
+        if cfg.service.is_some() {
+            let stats: Vec<ServiceStats> = self
+                .handles
+                .iter()
+                .zip(&self.honest)
+                .filter(|(_, honest)| **honest)
+                .map(|(h, _)| h.stats())
+                .collect();
+            report.service = Some(ServiceReport::aggregate(&stats));
+        }
+        report
+    }
+}
+
+/// Builds single-hop node `crypto.me` as `cfg` wires it — the one node
+/// constructor, at boot and at restart alike. The engine follows the
+/// config's workload: membership-aware under a churn plan, mempool-fed
+/// under a service load, fixed-epoch otherwise. A Byzantine placement wraps
+/// it; a crash plan adds the durable journal (`store`), whose recovered
+/// prefix the engine replays before it starts; a crash or churn plan adds
+/// the anti-entropy sync channel; a service load binds the node's handle
+/// and arrival schedule.
+fn build_node(
+    cfg: &TestbedConfig,
+    crypto: NodeCrypto,
+    store: Option<&SharedMem>,
+    handle: Option<&ConsensusHandle>,
+) -> Node {
+    let i = crypto.me;
+    let mut engine = if let Some(plan) = &cfg.churn {
+        let mut ctl = MembershipCtl::new(crypto.clone(), cfg.n);
+        // Genesis members sponsor the change; joiners cannot propose
+        // until they are members, so they schedule nothing.
+        if i < cfg.n {
+            for op in &plan.ops {
+                ctl.schedule_op(plan.from_epoch, *op);
+            }
+        }
+        cfg.protocol.churn_engine(crypto.clone(), ctl, cfg.workload.clone(), cfg.epochs)
+    } else if let (Some(svc), Some(h)) = (&cfg.service, handle) {
+        cfg.protocol.service_engine_at_depth(
+            crypto.clone(),
+            h.clone(),
+            cfg.workload.batch_size,
+            svc.max_epochs,
+            cfg.pipeline_depth,
+        )
+    } else {
+        cfg.protocol.engine_at_depth(
+            crypto.clone(),
+            cfg.workload.clone(),
+            cfg.epochs,
+            cfg.pipeline_depth,
+        )
+    };
+    let journal = store.map(|store| {
+        let (journal, blocks) =
+            BlockJournal::open(Box::new(store.clone())).expect("durable journal recovery failed");
+        let recovered = blocks.len();
+        engine.restore_chain(blocks);
+        (journal, recovered)
+    });
+    if let Some((_, mode)) = cfg.byzantine.iter().find(|(b, _)| *b == i) {
+        engine = Box::new(ByzantineEngine::new(engine, *mode));
+    }
+    let mut node = ProtocolNode::new(engine, crypto, ChannelId(0));
+    if let Some((journal, recovered)) = journal {
+        node = node.with_recovered(recovered).with_journal(journal);
+    }
+    if cfg.crash.is_some() || cfg.churn.is_some() {
+        node = node.with_sync(ChannelId(SYNC_CHANNEL));
+    }
+    if let (Some(svc), Some(h)) = (&cfg.service, handle) {
+        node = node.with_service(h.clone(), svc.arrivals.schedule(i));
+    }
+    node
+}
+
+/// The completion predicate, checked after every simulator event — so it
+/// neither hashes nor allocates. Every honest node is done; under a
+/// service load "done" means it saw its whole arrival schedule and resolved
+/// every admitted transaction into a block, and the honest chains must be
+/// level too (no node still waiting on the final commit).
+fn complete(
+    cfg: &TestbedConfig,
+    honest: &[bool],
+    handles: &[ConsensusHandle],
+    sim: &Simulator<Node>,
+) -> bool {
+    let Some(svc) = &cfg.service else {
+        return sim.behaviors().all(|(id, b)| !honest[id.index()] || b.is_done());
+    };
+    let drained = handles
         .iter()
-        .enumerate()
-        .filter(|(i, _)| honest[*i])
-        .map(|(_, h)| h.stats())
-        .collect();
-    let mut report = finish_report(
-        completed,
-        elapsed,
-        decision_times,
-        total_txs,
-        sim.metrics().clone(),
-        reference.len() as u64,
-    );
-    report.service = Some(ServiceReport::aggregate(&stats));
-    report
+        .zip(honest)
+        .all(|(h, ok)| !ok || (h.submissions() == svc.arrivals.per_node && h.drained()));
+    drained && {
+        let mut lens =
+            sim.behaviors().filter(|(id, _)| honest[id.index()]).map(|(_, b)| b.blocks().len());
+        let first = lens.next().unwrap_or(0);
+        lens.all(|l| l == first)
+    }
 }
 
 fn run_multi_hop(cfg: &TestbedConfig, m: usize) -> RunReport {
@@ -993,7 +802,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceed f")]
     fn crash_plan_beyond_f_is_rejected() {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         cfg.crash = Some(CrashPlan {
@@ -1002,7 +810,8 @@ mod tests {
                 CrashEvent { node: 1, at_us: 1, restart_us: 2 },
             ],
         });
-        validate(&cfg);
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("exceed f"), "{err}");
     }
 
     #[test]
@@ -1025,7 +834,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot activate")]
     fn churn_without_activation_room_is_rejected() {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         // Default epochs = 2: a change from epoch 0 activates at 2 at the
@@ -1034,20 +842,20 @@ mod tests {
             from_epoch: 0,
             ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
         });
-        validate(&cfg);
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("cannot activate"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "invalid committee size")]
     fn churn_to_invalid_size_is_rejected() {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         cfg.epochs = 8;
         cfg.churn = Some(ChurnPlan { from_epoch: 1, ops: vec![MembershipOp::Leave(0)] });
-        validate(&cfg);
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("invalid committee size"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "HoneyBadger-family only")]
     fn dumbo_churn_is_rejected() {
         let mut cfg = TestbedConfig::single_hop(Protocol::DumboSc);
         cfg.epochs = 8;
@@ -1055,11 +863,11 @@ mod tests {
             from_epoch: 1,
             ops: vec![MembershipOp::Join(4), MembershipOp::Leave(0)],
         });
-        validate(&cfg);
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("HoneyBadger-family only"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "do not compose with crash plans")]
     fn churn_and_crash_together_are_rejected() {
         let mut cfg = TestbedConfig::single_hop(Protocol::Beat);
         cfg.epochs = 8;
@@ -1070,7 +878,16 @@ mod tests {
         cfg.crash = Some(CrashPlan {
             crashes: vec![CrashEvent { node: 1, at_us: 1_000, restart_us: 2_000 }],
         });
-        validate(&cfg);
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("do not compose with crash plans"), "{err}");
+    }
+
+    #[test]
+    fn service_multi_hop_is_rejected() {
+        let mut cfg = TestbedConfig::multi_hop(Protocol::HoneyBadgerSc);
+        cfg.service = Some(ServiceConfig::small());
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("service runs are single-hop only"), "{err}");
     }
 
     #[test]
