@@ -10,18 +10,19 @@
 //! exchange threshold-decryption shares (batched into one packet per
 //! channel access) and commit the decrypted union as the block.
 //!
-//! The engine is generic over the broadcast and agreement deployments, so
-//! the same code yields HoneyBadgerBFT-LC / -SC, BEAT (coin-flipping ABA),
-//! and the unbatched `*-baseline` variants.
+//! This module is one such epoch, [`HbLane`], run under the shared
+//! [`EpochPipeline`] shell. The lane is generic over the broadcast and
+//! agreement deployments, so the same code yields HoneyBadgerBFT-LC / -SC,
+//! BEAT (coin-flipping ABA), and the unbatched `*-baseline` variants.
 
-use crate::driver::{sessions, Block, Engine, EngineOut, Tx};
-use crate::membership::MembershipCtl;
+use crate::driver::{sessions, Block, EngineOut, Tx};
+use crate::pipeline::{extend_unique, Committee, EpochLane, EpochPipeline};
 use crate::service::StopCondition;
 use crate::workload::{decode_batch, encode_batch, BatchSource};
 #[cfg(test)]
 use crate::workload::Workload;
 use bytes::Bytes;
-use std::collections::VecDeque;
+use rand_chacha::ChaCha12Rng;
 use wbft_components::aba_lc::AbaLcBatch;
 use wbft_components::aba_sc::AbaScBatch;
 use wbft_components::baseline::{BaselineAbaSet, BaselineRbcSet};
@@ -32,17 +33,6 @@ use wbft_crypto::GroupElem;
 use wbft_net::{Bitmap, Body, CoinFlavor, RetransmitPolicy};
 
 const TIMER_DEC_RETX: u32 = 0;
-
-/// Retransmission timer of this node's resharing deal (reshare sessions).
-const TIMER_RESHARE_RETX: u32 = 0;
-
-/// Cadence at which a canonical dealer re-serves its deal set. Deals are
-/// idempotent (duplicates drop at the ceremony), so a fixed cadence is
-/// enough; it keeps running until the dealer's engine is done because a
-/// lagging receiver — a joiner still bootstrapping its chain — may need
-/// the deal long after the chain passed the activation epoch.
-const RESHARE_RETX_DELAY: wbft_wireless::SimDuration =
-    wbft_wireless::SimDuration::from_millis(700);
 
 // ------------------------------------------------------------------
 // Ciphertext wire helpers (no binary serde in the dependency set).
@@ -158,7 +148,13 @@ impl DecStage {
             // they are re-served by peers' retransmissions once it does.
             return;
         };
-        let bit = 1u64 << (share.index.value() - 1);
+        // The wire layer accepts any non-zero index; one outside the
+        // committee names no reporter bit (and would overflow the shift).
+        let index = share.index.value() as usize;
+        if !(1..=self.p.n).contains(&index) {
+            return;
+        }
+        let bit = 1u64 << (index - 1);
         if self.reporters[j] & bit != 0 {
             return;
         }
@@ -237,7 +233,7 @@ impl DecStage {
         accepted.iter().all(|&j| self.plaintexts[j].is_some())
     }
 
-    fn handle(&mut self, from: usize, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
+    fn handle(&mut self, body: &Body, crypto: &NodeCrypto, acts: &mut Actions) {
         match body {
             Body::DecShareBatch { shares, dec_nack } => {
                 for (j, share) in shares {
@@ -254,7 +250,6 @@ impl DecStage {
             }
             _ => {}
         }
-        let _ = from;
         self.flush(acts);
     }
 
@@ -275,266 +270,138 @@ impl DecStage {
 }
 
 // ------------------------------------------------------------------
-// The engine.
-
-/// One epoch's live components.
-struct EpochState<B, A> {
-    epoch: u64,
-    /// Committee size of this epoch (varies across a membership change).
-    n: usize,
-    /// Fault budget of this epoch.
-    f: usize,
-    rbc: B,
-    aba: A,
-    dec: DecStage,
-    aba_inputs_sent: bool,
-    accepted: Option<Vec<usize>>,
-    /// Decided block awaiting in-order finalization (pipelined epochs may
-    /// decide out of order; the chain commits strictly by epoch).
-    decided: Option<Block>,
-    committed: bool,
-}
+// The lane.
 
 /// Per-epoch ABA factory: builds a fresh agreement instance from the
 /// epoch's committee parameters and the node's (key-epoch-aware) crypto.
 type MakeAba<A> = Box<dyn FnMut(Params, &NodeCrypto) -> A + Send>;
 
-/// HoneyBadgerBFT/BEAT engine, generic over deployment style.
-pub struct HbEngine<B, A> {
-    crypto: NodeCrypto,
-    n: usize,
-    f: usize,
-    me: usize,
-    source: BatchSource,
-    stop: StopCondition,
-    /// Epochs opened so far (`is_done` compares against committed blocks).
-    started: u64,
-    /// Pipeline depth `W`: epochs allowed in flight past the committed
-    /// chain. `W = 1` is the strictly sequential behavior.
-    depth: u64,
+/// Component factories of a HoneyBadger-family engine.
+pub struct HbSpec<B, A> {
     make_rbc: Box<dyn FnMut(Params) -> B + Send>,
     make_aba: MakeAba<A>,
+    /// One batched decryption packet per channel access, or one packet per
+    /// proposer (the baselines).
     batched_dec: bool,
-    epochs: VecDeque<EpochState<B, A>>,
-    blocks: Vec<Block>,
-    rng: rand_chacha::ChaCha12Rng,
-    /// Dynamic membership (`None` = the fixed genesis committee forever;
-    /// that path is byte-identical to builds without this field).
-    membership: Option<MembershipCtl>,
 }
 
-impl<B: Broadcaster, A: BinaryAgreement> HbEngine<B, A> {
-    /// Creates the engine; `make_rbc`/`make_aba` build fresh components per
-    /// epoch.
-    pub fn new(
-        crypto: NodeCrypto,
-        source: impl Into<BatchSource>,
-        stop: StopCondition,
-        batched_dec: bool,
-        make_rbc: Box<dyn FnMut(Params) -> B + Send>,
-        make_aba: MakeAba<A>,
-    ) -> Self {
-        use rand::SeedableRng;
-        let source = source.into();
-        let n = crypto.peer_keys.len();
-        let f = (n - 1) / 3;
-        let me = crypto.me;
-        let rng = rand_chacha::ChaCha12Rng::seed_from_u64(0xb0b0 ^ ((me as u64) << 16));
-        HbEngine {
-            crypto,
-            n,
-            f,
-            me,
-            source,
-            stop,
-            started: 0,
-            depth: 1,
-            make_rbc,
-            make_aba,
-            batched_dec,
-            epochs: VecDeque::new(),
-            blocks: Vec::new(),
-            rng,
-            membership: None,
+/// One HoneyBadgerBFT/BEAT epoch: N reliable broadcasts of threshold
+/// ciphertexts, N parallel ABAs, then threshold decryption of the
+/// accepted proposals.
+pub struct HbLane<B, A> {
+    epoch: u64,
+    /// Committee of this epoch (varies across a membership change).
+    committee: Committee,
+    rbc: B,
+    aba: A,
+    dec: DecStage,
+    aba_inputs_sent: bool,
+    accepted: Option<Vec<usize>>,
+    decided: bool,
+}
+
+/// HoneyBadgerBFT/BEAT engine, generic over deployment style.
+pub type HbEngine<B, A> = EpochPipeline<HbLane<B, A>>;
+
+impl<B: Broadcaster, A: BinaryAgreement> HbLane<B, A> {
+    /// Starts decryption of proposer `j`'s delivered proposal; a malformed
+    /// ciphertext from a Byzantine proposer counts as an empty contribution.
+    fn activate_dec(&mut self, j: usize, crypto: &NodeCrypto, out: &mut EngineOut) {
+        if self.dec.active[j] {
+            return;
+        }
+        let Some(bytes) = self.rbc.delivered(j) else { return };
+        if let Some(ct) = decode_ciphertext(bytes) {
+            let mut acts = Actions::new();
+            self.dec.activate(j, ct, crypto, &mut acts);
+            out.absorb(sessions::of(self.epoch, sessions::DEC), &mut acts);
+        } else {
+            self.dec.active[j] = true;
+            self.dec.plaintexts[j] = Some(encode_batch(&[]).to_vec());
         }
     }
+}
 
-    /// Mutable access to the proposal source (the multi-hop tier installs
-    /// fixed proposals before starting an epoch).
-    pub fn source_mut(&mut self) -> &mut BatchSource {
-        &mut self.source
-    }
+impl<B: Broadcaster, A: BinaryAgreement> EpochLane for HbLane<B, A> {
+    type Spec = HbSpec<B, A>;
 
-    /// Sets the pipeline depth `W` (clamped to at least 1). Call before
-    /// `start`; `W = 1` reproduces the sequential engine byte for byte.
-    pub fn with_depth(mut self, depth: u64) -> Self {
-        self.depth = depth.max(1);
-        self
-    }
-
-    /// Enables dynamic membership: per-epoch committee parameters and
-    /// threshold keys come from the chain-derived controller instead of
-    /// the fixed genesis deal. Schedule the node's own join/leave ops on
-    /// the controller before passing it in.
-    pub fn with_membership(mut self, ctl: MembershipCtl) -> Self {
-        self.membership = Some(ctl);
-        self
-    }
-
-    /// The crypto bundle in effect at `epoch`: the membership controller's
-    /// per-key-epoch bundle, falling back to the engine's fixed genesis
-    /// bundle (the only bundle there is without membership; with it, open
-    /// epochs are gated on the controller's bundle existing).
-    fn epoch_crypto<'a>(
-        base: &'a NodeCrypto,
-        membership: &'a Option<MembershipCtl>,
+    fn open(
+        spec: &mut HbSpec<B, A>,
         epoch: u64,
-    ) -> &'a NodeCrypto {
-        match membership {
-            Some(ctl) => ctl.crypto_at(epoch).unwrap_or(base),
-            None => base,
-        }
-    }
-
-    fn begin_epoch(&mut self, epoch: u64, out: &mut EngineOut) {
-        self.started = self.started.max(epoch + 1);
-        let (n, f, me) = match &self.membership {
-            Some(ctl) => match ctl.committee_at(epoch) {
-                Some(t) => t,
-                // `open_epochs` gates on `can_open`; reaching this means a
-                // logic bug upstream — refuse to open rather than panic.
-                None => return,
-            },
-            None => (self.n, self.f, self.me),
-        };
-        let p_rbc = Params::new(n, me, sessions::of(epoch, sessions::BROADCAST));
-        let p_aba = Params::new(n, me, sessions::of(epoch, sessions::ABA));
-        let p_dec = Params::new(n, me, sessions::of(epoch, sessions::DEC));
-        let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-        let mut rbc = (self.make_rbc)(p_rbc);
-        let aba = (self.make_aba)(p_aba, crypto);
-        let dec = DecStage::new(p_dec, epoch, self.batched_dec);
-
-        // Threshold-encrypt the batch (censorship resilience). Membership
-        // ops this node wants committed ride along as reserved
-        // transactions (deduplicated by the union-commit, like any tx).
-        let mut txs = self.source.batch(epoch, me);
-        if let Some(ctl) = &self.membership {
-            for tx in ctl.injectable(epoch) {
-                if !txs.contains(&tx) {
-                    txs.push(tx);
-                }
-            }
-        }
-        let pt = encode_batch(&txs);
-        // Charge an encryption as one share-signing-class operation.
+        committee: Committee,
+        crypto: &NodeCrypto,
+        txs: &[Tx],
+        rng: &mut ChaCha12Rng,
+        out: &mut EngineOut,
+    ) -> Self {
+        let p_rbc = committee.params(epoch, sessions::BROADCAST);
+        let mut rbc = (spec.make_rbc)(p_rbc);
+        let aba = (spec.make_aba)(committee.params(epoch, sessions::ABA), crypto);
+        let dec = DecStage::new(committee.params(epoch, sessions::DEC), epoch, spec.batched_dec);
+        // Threshold-encrypt the batch (censorship resilience), charged as
+        // one share-signing-class operation.
         let mut acts = Actions::new();
         acts.charge(crypto.suite.threshold.signature_profile().sign_share_us);
-        let ct = crypto.enc_pub.encrypt(&ct_label(epoch, me), &pt, &mut self.rng);
+        let ct = crypto.enc_pub.encrypt(&ct_label(epoch, committee.me), &encode_batch(txs), rng);
         rbc.start(encode_ciphertext(&ct), &mut acts);
         out.absorb(p_rbc.session, &mut acts);
-
-        self.epochs.push_back(EpochState {
+        HbLane {
             epoch,
-            n,
-            f,
+            committee,
             rbc,
             aba,
             dec,
             aba_inputs_sent: false,
             accepted: None,
-            decided: None,
-            committed: false,
-        });
-        // Keep one finalized epoch beyond the pipeline window alive as a
-        // NACK responder for lagging peers.
-        let keep = self.depth as usize + 1;
-        while self.epochs.len() > keep {
-            self.epochs.pop_front();
+            decided: false,
         }
     }
 
-    /// Opens dissemination for new epochs until `depth` are in flight past
-    /// the committed chain (or the stop condition refuses). The epoch
-    /// right past the chain head always opens — that is the sequential
-    /// cadence every depth shares — but *extra* pipelined epochs open only
-    /// while the source has work for them: an eager open on an idle
-    /// mempool would spend a full epoch of airtime on an empty proposal.
-    fn open_epochs(&mut self, out: &mut EngineOut) {
-        while self.started < self.blocks.len() as u64 + self.depth && self.stop.allows(self.started)
-        {
-            // Membership gate: only committee members open an epoch, and
-            // only once its key epoch's threshold keys exist (a running
-            // resharing ceremony holds the activation epoch back; a
-            // leaver stops here for good and finishes by sync adoption).
-            if let Some(ctl) = &self.membership {
-                if !ctl.can_open(self.started) {
-                    break;
-                }
-            }
-            if self.started > self.blocks.len() as u64 && !self.source.has_work() {
-                break;
-            }
-            let next = self.started;
-            self.begin_epoch(next, out);
-        }
-    }
-
-    /// Starts decryption of proposer `j`'s delivered proposal; a malformed
-    /// ciphertext from a Byzantine proposer counts as an empty contribution.
-    fn activate_dec(
+    fn handle(
+        &mut self,
+        role: u64,
+        from: usize,
+        body: &Body,
         crypto: &NodeCrypto,
-        st: &mut EpochState<B, A>,
-        j: usize,
-        session: u64,
-        out: &mut EngineOut,
+        acts: &mut Actions,
     ) {
-        if st.dec.active[j] {
-            return;
-        }
-        let Some(bytes) = st.rbc.delivered(j) else { return };
-        if let Some(ct) = decode_ciphertext(bytes) {
-            let mut acts = Actions::new();
-            st.dec.activate(j, ct, crypto, &mut acts);
-            out.absorb(session, &mut acts);
-        } else {
-            st.dec.active[j] = true;
-            st.dec.plaintexts[j] = Some(encode_batch(&[]).to_vec());
+        match role {
+            sessions::BROADCAST => self.rbc.handle(from, body, acts),
+            sessions::ABA => self.aba.handle(from, body, acts),
+            sessions::DEC => self.dec.handle(body, crypto, acts),
+            _ => {}
         }
     }
 
-    /// Runs the epoch state machine after any component progress.
-    fn poll(&mut self, epoch: u64, out: &mut EngineOut) {
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        // Quorum math of *this epoch's* committee (membership changes can
-        // resize it between epochs; without membership these are the
-        // engine-constant n and f).
-        let n = self.epochs[idx].n;
-        let quorum = 2 * self.epochs[idx].f + 1;
+    fn on_timer(&mut self, role: u64, local: u32, _crypto: &NodeCrypto, acts: &mut Actions) {
+        match role {
+            sessions::BROADCAST => self.rbc.on_timer(local, acts),
+            sessions::ABA => self.aba.on_timer(local, acts),
+            sessions::DEC => self.dec.on_timer(local, self.accepted.as_deref(), acts),
+            _ => {}
+        }
+    }
 
-        // 1. Feed ABA inputs when 2f+1 RBCs delivered — all at once. At
-        //    pipelined depths the agreement lane of a *future* epoch stays
-        //    parked until the epoch reaches the chain head: its
-        //    dissemination overlaps the head's agreement, but binding ABA
-        //    inputs while proposals are still in flight behind pipelined
-        //    traffic would vote 0 on slow instances and requeue whole
-        //    batches.
-        let at_head = self.epochs[idx].epoch == self.blocks.len() as u64;
+    fn poll(
+        &mut self,
+        released: bool,
+        pipelined: bool,
+        crypto: &NodeCrypto,
+        out: &mut EngineOut,
+    ) -> Option<Block> {
+        let n = self.committee.n;
+        // 1. Feed ABA inputs when 2f+1 RBCs delivered — all at once.
+        if !self.aba_inputs_sent
+            && self.rbc.delivered_count() >= self.committee.quorum()
+            && released
         {
-            let st = &mut self.epochs[idx];
-            if !st.aba_inputs_sent
-                && st.rbc.delivered_count() >= quorum
-                && (self.depth == 1 || at_head)
-            {
-                st.aba_inputs_sent = true;
-                let mut acts = Actions::new();
-                for j in 0..n {
-                    let input = st.rbc.delivered(j).is_some();
-                    st.aba.set_input(j, input, &mut acts);
-                }
-                let session = sessions::of(epoch, sessions::ABA);
-                out.absorb(session, &mut acts);
+            self.aba_inputs_sent = true;
+            let mut acts = Actions::new();
+            for j in 0..n {
+                let input = self.rbc.delivered(j).is_some();
+                self.aba.set_input(j, input, &mut acts);
             }
+            out.absorb(sessions::of(self.epoch, sessions::ABA), &mut acts);
         }
         // 1b. Early-commit fast path (pipelined depths only): once our ABA
         //     inputs are bound, n−f of them are unanimously 1, so start
@@ -543,282 +410,36 @@ impl<B: Broadcaster, A: BinaryAgreement> HbEngine<B, A> {
         //     accepted set to freeze. Commit still waits for stage 2's
         //     frozen set; shares for instances that end up rejected are
         //     simply never combined.
-        if self.depth > 1 {
-            let session = sessions::of(epoch, sessions::DEC);
-            let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-            let st = &mut self.epochs[idx];
-            if st.aba_inputs_sent && st.accepted.is_none() {
-                for j in 0..n {
-                    if st.aba.decided(j) != Some(false) {
-                        Self::activate_dec(crypto, st, j, session, out);
-                    }
+        if pipelined && self.aba_inputs_sent && self.accepted.is_none() {
+            for j in 0..n {
+                if self.aba.decided(j) != Some(false) {
+                    self.activate_dec(j, crypto, out);
                 }
             }
         }
         // 2. Freeze the accepted set when all ABAs decided.
-        {
-            let st = &mut self.epochs[idx];
-            if st.accepted.is_none() && st.aba_inputs_sent && st.aba.decided_count() == n {
-                let accepted: Vec<usize> =
-                    (0..n).filter(|&j| st.aba.decided(j) == Some(true)).collect();
-                st.accepted = Some(accepted);
-            }
+        if self.accepted.is_none() && self.aba_inputs_sent && self.aba.decided_count() == n {
+            self.accepted = Some((0..n).filter(|&j| self.aba.decided(j) == Some(true)).collect());
         }
         // 3. Activate decryption for accepted instances whose value we hold.
-        {
-            let session = sessions::of(epoch, sessions::DEC);
-            let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-            let st = &mut self.epochs[idx];
-            if let Some(accepted) = st.accepted.clone() {
-                for j in accepted {
-                    Self::activate_dec(crypto, st, j, session, out);
-                }
+        if let Some(accepted) = self.accepted.clone() {
+            for j in accepted {
+                self.activate_dec(j, crypto, out);
             }
         }
         // 4. Decide the epoch once every accepted proposal decrypted.
-        {
-            let st = &mut self.epochs[idx];
-            if !st.committed && st.decided.is_none() {
-                if let Some(accepted) = &st.accepted {
-                    if st.dec.complete_for(accepted) {
-                        let mut txs: Vec<Tx> = Vec::new();
-                        for &j in accepted {
-                            if let Some(pt) = &st.dec.plaintexts[j] {
-                                if let Some(batch) = decode_batch(pt) {
-                                    for tx in batch {
-                                        if !txs.contains(&tx) {
-                                            txs.push(tx);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        st.decided = Some(Block { epoch, txs });
-                    }
-                }
+        let accepted = self.accepted.as_ref()?;
+        if self.decided || !self.dec.complete_for(accepted) {
+            return None;
+        }
+        self.decided = true;
+        let mut txs: Vec<Tx> = Vec::new();
+        for &j in accepted {
+            if let Some(batch) = self.dec.plaintexts[j].as_deref().and_then(decode_batch) {
+                extend_unique(&mut txs, batch);
             }
         }
-        self.finalize_in_order(out);
-    }
-
-    /// Appends decided epochs to the chain strictly in epoch order — the
-    /// committed digest chain stays a common prefix even when a later
-    /// pipelined epoch decides before an earlier one — then refills the
-    /// dissemination pipeline.
-    fn finalize_in_order(&mut self, out: &mut EngineOut) {
-        let mut advanced = false;
-        loop {
-            let next = self.blocks.len() as u64;
-            let Some(i) = self.epochs.iter().position(|e| e.epoch == next) else { break };
-            let Some(block) = self.epochs[i].decided.take() else { break };
-            self.epochs[i].committed = true;
-            // Service mode: resolve the commit in the mempool *before* the
-            // next epoch pulls its batch, so a peer-committed transaction
-            // cannot ride again.
-            if let BatchSource::Service { handle, .. } = &self.source {
-                handle.resolve_commit(&block);
-            }
-            self.blocks.push(block);
-            self.on_membership_commit(next, out);
-            advanced = true;
-        }
-        if advanced {
-            self.open_epochs(out);
-            // The next epoch just became the chain head: release its
-            // parked agreement lane (no-op when it has no RBC quorum yet
-            // or at depth 1, where the head is the only open epoch).
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-
-    /// Chain-commit hook of the membership subsystem: folds the epoch's
-    /// ops into the committee log and, when a change lands, broadcasts
-    /// this node's resharing deal (if it is a canonical dealer) on the
-    /// activation epoch's reshare session, with a retransmission timer.
-    fn on_membership_commit(&mut self, epoch: u64, out: &mut EngineOut) {
-        let Some(ctl) = &mut self.membership else { return };
-        let Some(block) = self.blocks.iter().find(|b| b.epoch == epoch) else { return };
-        if ctl.on_commit(epoch, &block.txs).is_none() {
-            return;
-        }
-        if let Some((activation, key_epoch, deal)) = ctl.make_my_deal(&mut self.rng) {
-            let session = sessions::of(activation, sessions::RESHARE);
-            out.sends.push((
-                session,
-                Body::Reshare { key_epoch, dealer: ctl.me_global(), deal },
-            ));
-            out.timers.push((session, TIMER_RESHARE_RETX, RESHARE_RETX_DELAY));
-        }
-    }
-
-    /// Absorbs a dealer's reshare deal set. When the deal completes the
-    /// ceremony, the new key epoch's bundle just became available and the
-    /// epochs blocked on it can open.
-    fn on_reshare(&mut self, from: usize, body: &Body, out: &mut EngineOut) {
-        let Some(ctl) = &mut self.membership else { return };
-        let Body::Reshare { key_epoch, dealer, deal } = body else { return };
-        // The envelope signature authenticated `from`; a deal claiming a
-        // different dealer identity is forged (or corrupt) — drop it.
-        if *dealer as usize != from {
-            return;
-        }
-        let Some(deal) = wbft_membership::DealSet::decode(deal) else { return };
-        if deal.dealer != *dealer {
-            return;
-        }
-        if ctl.absorb_deal(*key_epoch, deal) {
-            self.open_epochs(out);
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-}
-
-impl<B: Broadcaster, A: BinaryAgreement> Engine for HbEngine<B, A> {
-    fn start(&mut self, out: &mut EngineOut) {
-        self.open_epochs(out);
-    }
-
-    fn on_work_available(&mut self, out: &mut EngineOut) {
-        // A fresh local submission: fill the pipeline window now instead
-        // of waiting for the next commit. Sequential depth (W = 1) never
-        // has window slack here, so this is a no-op for it.
-        self.open_epochs(out);
-    }
-
-    fn restore_chain(&mut self, blocks: Vec<Block>) {
-        // Adopt the recovered prefix as already-committed history; `start`
-        // then opens the first live epoch right past it (epochs are opened
-        // relative to `blocks.len()`, so no per-epoch state is needed).
-        self.started = self.started.max(blocks.len() as u64);
-        self.blocks = blocks;
-        // Membership runs: refold the committee log from the restored
-        // prefix. No deals can be broadcast from here (pre-start, nothing
-        // to send through); a restart landing mid-ceremony relies on the
-        // other dealers' retransmissions or anti-entropy adoption.
-        for i in 0..self.blocks.len() {
-            let Some(ctl) = &mut self.membership else { break };
-            ctl.on_commit(self.blocks[i].epoch, &self.blocks[i].txs);
-        }
-    }
-
-    fn adopt_chain(&mut self, blocks: Vec<Block>, out: &mut EngineOut) {
-        let mut advanced = false;
-        for block in blocks {
-            if block.epoch != self.blocks.len() as u64 {
-                continue;
-            }
-            // Drop the live instance of the adopted epoch: its agreement
-            // is moot and its components must not commit a second copy.
-            if let Some(i) = self.epochs.iter().position(|e| e.epoch == block.epoch) {
-                self.epochs.remove(i);
-            }
-            if let BatchSource::Service { handle, .. } = &self.source {
-                handle.resolve_commit(&block);
-            }
-            let epoch = block.epoch;
-            self.blocks.push(block);
-            self.on_membership_commit(epoch, out);
-            advanced = true;
-        }
-        if advanced {
-            self.started = self.started.max(self.blocks.len() as u64);
-            self.open_epochs(out);
-            let head = self.blocks.len() as u64;
-            self.poll(head, out);
-        }
-    }
-
-    fn handle(&mut self, session: u64, from: usize, body: &Body, out: &mut EngineOut) {
-        let (epoch, role) = sessions::split(session);
-        if role == sessions::RESHARE {
-            self.on_reshare(from, body, out);
-            return;
-        }
-        // Envelopes carry global node ids; components speak committee
-        // slots. Without membership the two coincide.
-        let from = match &self.membership {
-            Some(ctl) => match ctl.slot_at(epoch, from as u16) {
-                Some(slot) => slot,
-                // Not a member of this epoch's committee (e.g. a leaver's
-                // stale traffic): nothing a component could attribute.
-                None => return,
-            },
-            None => from,
-        };
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        let mut acts = Actions::new();
-        {
-            let crypto = Self::epoch_crypto(&self.crypto, &self.membership, epoch);
-            let st = &mut self.epochs[idx];
-            match role {
-                sessions::BROADCAST => st.rbc.handle(from, body, &mut acts),
-                sessions::ABA => st.aba.handle(from, body, &mut acts),
-                sessions::DEC => st.dec.handle(from, body, crypto, &mut acts),
-                _ => {}
-            }
-        }
-        out.absorb(session, &mut acts);
-        self.poll(epoch, out);
-    }
-
-    fn on_timer(&mut self, session: u64, local: u32, out: &mut EngineOut) {
-        let (epoch, role) = sessions::split(session);
-        if role == sessions::RESHARE {
-            if local != TIMER_RESHARE_RETX || self.is_done() {
-                return;
-            }
-            let Some(ctl) = &self.membership else { return };
-            let Some((_, key_epoch, deal)) = ctl.retx_deal() else { return };
-            out.sends.push((
-                session,
-                Body::Reshare { key_epoch, dealer: ctl.me_global(), deal },
-            ));
-            out.timers.push((session, TIMER_RESHARE_RETX, RESHARE_RETX_DELAY));
-            return;
-        }
-        let Some(idx) = self.epochs.iter().position(|e| e.epoch == epoch) else { return };
-        let mut acts = Actions::new();
-        {
-            let st = &mut self.epochs[idx];
-            match role {
-                sessions::BROADCAST => st.rbc.on_timer(local, &mut acts),
-                sessions::ABA => st.aba.on_timer(local, &mut acts),
-                sessions::DEC => {
-                    let accepted = st.accepted.clone();
-                    st.dec.on_timer(local, accepted.as_deref(), &mut acts)
-                }
-                _ => {}
-            }
-        }
-        out.absorb(session, &mut acts);
-        self.poll(epoch, out);
-    }
-
-    fn blocks(&self) -> &[Block] {
-        &self.blocks
-    }
-
-    fn key_epoch(&self, session: u64) -> u64 {
-        match &self.membership {
-            Some(ctl) => ctl.wire_key_epoch(session),
-            None => 0,
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        let committed = self.blocks.len() as u64;
-        if self.stop.is_done(self.started, committed) {
-            return true;
-        }
-        // Membership runs: a node outside the committee at its chain head
-        // (a leaver past activation, a joiner before it) opens nothing
-        // itself — it finishes by sync adoption once the chain it adopts
-        // reaches the stop.
-        self.membership
-            .as_ref()
-            .is_some_and(|ctl| !ctl.member_at(committed) && !self.stop.allows(committed))
+        Some(Block { epoch: self.epoch, txs })
     }
 }
 
@@ -834,13 +455,15 @@ pub fn hb_sc(
 ) -> HbEngine<RbcBatch, AbaScBatch> {
     HbEngine::new(
         crypto,
+        HbSpec {
+            make_rbc: Box::new(RbcBatch::new),
+            make_aba: Box::new(|p, c: &NodeCrypto| {
+                AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
+            }),
+            batched_dec: true,
+        },
         source,
         stop,
-        true,
-        Box::new(RbcBatch::new),
-        Box::new(|p, c: &NodeCrypto| {
-            AbaScBatch::new_parallel(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
     )
 }
 
@@ -853,11 +476,13 @@ pub fn hb_lc(
 ) -> HbEngine<RbcBatch, AbaLcBatch> {
     HbEngine::new(
         crypto,
+        HbSpec {
+            make_rbc: Box::new(RbcBatch::new),
+            make_aba: Box::new(|p, _: &NodeCrypto| AbaLcBatch::new(p)),
+            batched_dec: true,
+        },
         source,
         stop,
-        true,
-        Box::new(RbcBatch::new),
-        Box::new(|p, _: &NodeCrypto| AbaLcBatch::new(p)),
     )
 }
 
@@ -870,13 +495,15 @@ pub fn beat(
 ) -> HbEngine<RbcBatch, AbaScBatch> {
     HbEngine::new(
         crypto,
+        HbSpec {
+            make_rbc: Box::new(RbcBatch::new),
+            make_aba: Box::new(|p, c: &NodeCrypto| {
+                AbaScBatch::new_parallel(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
+            }),
+            batched_dec: true,
+        },
         source,
         stop,
-        true,
-        Box::new(RbcBatch::new),
-        Box::new(|p, c: &NodeCrypto| {
-            AbaScBatch::new_parallel(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
     )
 }
 
@@ -888,13 +515,15 @@ pub fn hb_sc_baseline(
 ) -> HbEngine<BaselineRbcSet, BaselineAbaSet> {
     HbEngine::new(
         crypto,
+        HbSpec {
+            make_rbc: Box::new(BaselineRbcSet::new),
+            make_aba: Box::new(|p, c: &NodeCrypto| {
+                BaselineAbaSet::new(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
+            }),
+            batched_dec: false,
+        },
         source,
         stop,
-        false,
-        Box::new(BaselineRbcSet::new),
-        Box::new(|p, c: &NodeCrypto| {
-            BaselineAbaSet::new(p, CoinFlavor::ThreshSig, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
     )
 }
 
@@ -906,13 +535,15 @@ pub fn beat_baseline(
 ) -> HbEngine<BaselineRbcSet, BaselineAbaSet> {
     HbEngine::new(
         crypto,
+        HbSpec {
+            make_rbc: Box::new(BaselineRbcSet::new),
+            make_aba: Box::new(|p, c: &NodeCrypto| {
+                BaselineAbaSet::new(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
+            }),
+            batched_dec: false,
+        },
         source,
         stop,
-        false,
-        Box::new(BaselineRbcSet::new),
-        Box::new(|p, c: &NodeCrypto| {
-            BaselineAbaSet::new(p, CoinFlavor::CoinFlip, c.coin_pub.clone(), c.coin_sec.clone())
-        }),
     )
 }
 
@@ -986,6 +617,30 @@ mod tests {
                 assert_eq!(blocks, first, "depth {depth}: all nodes agree");
             }
         }
+    }
+
+    /// A peer's decryption share whose index lies outside the committee
+    /// (the wire accepts any non-zero u16) is dropped before it can touch
+    /// the reporter bitmask; honest shares still combine afterwards.
+    #[test]
+    fn out_of_committee_share_index_is_dropped() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let crypto = deal_node_crypto(4, CryptoSuite::light(), &mut rng);
+        let p = Params::new(4, 0, sessions::of(0, sessions::DEC));
+        let mut dec = DecStage::new(p, 0, true);
+        let ct = crypto[1].enc_pub.encrypt(&ct_label(0, 1), &encode_batch(&[]), &mut rng);
+        let mut acts = Actions::new();
+        dec.activate(1, ct.clone(), &crypto[0], &mut acts);
+        let batch = |share| Body::DecShareBatch { shares: vec![(1, share)], dec_nack: Bitmap::new(4) };
+        let mut forged = crypto[2].enc_sec.dec_share(&ct);
+        for index in [5, 64, 65, u16::MAX] {
+            forged.index = wbft_crypto::ShareIndex::new(index).unwrap();
+            dec.handle(&batch(forged), &crypto[0], &mut acts);
+        }
+        assert_eq!(dec.reporters[1], 0b1, "only this node's own share reported");
+        assert!(dec.plaintexts[1].is_none());
+        dec.handle(&batch(crypto[2].enc_sec.dec_share(&ct)), &crypto[0], &mut acts);
+        assert_eq!(dec.plaintexts[1].as_deref(), Some(&encode_batch(&[])[..]));
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod honeybadger;
 pub mod membership;
 pub mod multihop;
 pub mod netrun;
+pub mod pipeline;
 pub mod protocol;
 pub mod recovery;
 pub mod report;

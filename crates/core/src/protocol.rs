@@ -5,6 +5,7 @@ use crate::driver::Engine;
 use crate::dumbo::{DumboEngine, DumboVariant};
 use crate::honeybadger;
 use crate::membership::MembershipCtl;
+use crate::pipeline::{EpochLane, EpochPipeline};
 use crate::service::{ConsensusHandle, StopCondition};
 use crate::workload::{BatchSource, Workload};
 use wbft_components::NodeCrypto;
@@ -113,7 +114,7 @@ impl Protocol {
         epochs: u64,
         depth: u64,
     ) -> Box<dyn Engine> {
-        self.build_engine_at_depth(crypto, workload.into(), StopCondition::Epochs(epochs), depth)
+        self.build_engine(crypto, workload.into(), StopCondition::Epochs(epochs), depth, None)
     }
 
     /// Builds a live-service engine: proposals pull FIFO from the handle's
@@ -128,17 +129,18 @@ impl Protocol {
         max_epochs: u64,
         depth: u64,
     ) -> Box<dyn Engine> {
-        self.build_engine_at_depth(
+        self.build_engine(
             crypto,
             BatchSource::Service { handle: handle.clone(), max_batch },
             StopCondition::Service { handle, max_epochs },
             depth,
+            None,
         )
     }
 
-    /// `true` iff [`Protocol::churn_engine`] can build this deployment —
-    /// the HoneyBadger-family engines whose quorum lanes consult the
-    /// chain-derived committee view.
+    /// `true` iff dynamic membership (a churn plan) runs on this deployment
+    /// — the HoneyBadger-family engines. Dumbo churn is a follow-on; the
+    /// testbed rejects it in `validate`.
     pub fn supports_churn(&self) -> bool {
         matches!(
             self,
@@ -150,83 +152,47 @@ impl Protocol {
         )
     }
 
-    /// Builds a dynamic-membership engine: quorum math, committee slots
-    /// and threshold keys follow the chain-derived committee view in `ctl`
-    /// instead of the fixed genesis deal. HoneyBadger-family deployments
-    /// only.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the Dumbo deployments — their CBC/leader-election lanes
-    /// are not membership-plumbed yet (tracked as a follow-on).
-    pub fn churn_engine(
-        &self,
-        crypto: NodeCrypto,
-        ctl: MembershipCtl,
-        workload: Workload,
-        epochs: u64,
-    ) -> Box<dyn Engine> {
-        let source: BatchSource = workload.into();
-        let stop = StopCondition::Epochs(epochs);
-        match self {
-            Protocol::HoneyBadgerLc => {
-                Box::new(honeybadger::hb_lc(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::HoneyBadgerSc => {
-                Box::new(honeybadger::hb_sc(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::Beat => {
-                Box::new(honeybadger::beat(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::HoneyBadgerScBaseline => {
-                Box::new(honeybadger::hb_sc_baseline(crypto, source, stop).with_membership(ctl))
-            }
-            Protocol::BeatBaseline => {
-                Box::new(honeybadger::beat_baseline(crypto, source, stop).with_membership(ctl))
-            }
-            // wbft-lint: allow(totality) — harness misuse guard: testbed validate rejects churn for non-supports_churn protocols first
-            Protocol::DumboLc | Protocol::DumboSc | Protocol::DumboScBaseline => panic!(
-                "dynamic membership is HoneyBadger-family only for now \
-                 (Dumbo churn is a follow-on)"
-            ),
-        }
-    }
-
     /// Builds the engine for one node from any proposal source and stop
     /// condition at a pipeline depth `W ≥ 1` (`W = 1` reproduces the
-    /// sequential engines byte for byte) — the general form behind
-    /// [`Protocol::engine_at_depth`] and [`Protocol::service_engine_at_depth`].
-    pub fn build_engine_at_depth(
+    /// sequential engines byte for byte). With `membership`, quorum math,
+    /// committee slots and threshold keys follow the chain-derived
+    /// committee view in the controller instead of the fixed genesis deal
+    /// (callers pass it only for [`Protocol::supports_churn`] deployments).
+    pub(crate) fn build_engine(
         &self,
         crypto: NodeCrypto,
         source: BatchSource,
         stop: StopCondition,
         depth: u64,
+        membership: Option<MembershipCtl>,
     ) -> Box<dyn Engine> {
-        match self {
-            Protocol::HoneyBadgerLc => {
-                Box::new(honeybadger::hb_lc(crypto, source, stop).with_depth(depth))
-            }
-            Protocol::HoneyBadgerSc => {
-                Box::new(honeybadger::hb_sc(crypto, source, stop).with_depth(depth))
-            }
-            Protocol::Beat => Box::new(honeybadger::beat(crypto, source, stop).with_depth(depth)),
-            Protocol::DumboLc => {
-                Box::new(DumboEngine::new(crypto, DumboVariant::Lc, source, stop).with_depth(depth))
-            }
-            Protocol::DumboSc => {
-                Box::new(DumboEngine::new(crypto, DumboVariant::Sc, source, stop).with_depth(depth))
-            }
+        fn shell<L: EpochLane + 'static>(
+            engine: EpochPipeline<L>,
+            depth: u64,
+            membership: Option<MembershipCtl>,
+        ) -> Box<dyn Engine> {
+            let engine = engine.with_depth(depth);
+            Box::new(match membership {
+                Some(ctl) => engine.with_membership(ctl),
+                None => engine,
+            })
+        }
+        use honeybadger::{beat, beat_baseline, hb_lc, hb_sc, hb_sc_baseline};
+        let variant = match self {
+            Protocol::HoneyBadgerLc => return shell(hb_lc(crypto, source, stop), depth, membership),
+            Protocol::HoneyBadgerSc => return shell(hb_sc(crypto, source, stop), depth, membership),
+            Protocol::Beat => return shell(beat(crypto, source, stop), depth, membership),
             Protocol::HoneyBadgerScBaseline => {
-                Box::new(honeybadger::hb_sc_baseline(crypto, source, stop).with_depth(depth))
+                return shell(hb_sc_baseline(crypto, source, stop), depth, membership)
             }
             Protocol::BeatBaseline => {
-                Box::new(honeybadger::beat_baseline(crypto, source, stop).with_depth(depth))
+                return shell(beat_baseline(crypto, source, stop), depth, membership)
             }
-            Protocol::DumboScBaseline => Box::new(
-                DumboEngine::new(crypto, DumboVariant::ScBaseline, source, stop).with_depth(depth),
-            ),
-        }
+            Protocol::DumboLc => DumboVariant::Lc,
+            Protocol::DumboSc => DumboVariant::Sc,
+            Protocol::DumboScBaseline => DumboVariant::ScBaseline,
+        };
+        shell(DumboEngine::new(crypto, variant, source, stop), depth, membership)
     }
 }
 

@@ -14,7 +14,7 @@ use crate::membership::MembershipCtl;
 use crate::multihop::ClusterNode;
 use crate::protocol::Protocol;
 use crate::recovery::BlockJournal;
-use crate::service::{ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats};
+use crate::service::{ConsensusHandle, ServiceConfig, ServiceReport, ServiceStats, StopCondition};
 use crate::workload::Workload;
 use wbft_components::{deal_node_crypto, deal_node_crypto_with_joiners, NodeCrypto};
 use wbft_crypto::CryptoSuite;
@@ -642,8 +642,8 @@ impl SingleHop {
 
 /// Builds single-hop node `crypto.me` as `cfg` wires it — the one node
 /// constructor, at boot and at restart alike. The engine follows the
-/// config's workload: membership-aware under a churn plan, mempool-fed
-/// under a service load, fixed-epoch otherwise. A Byzantine placement wraps
+/// config's workload: mempool-fed under a service load, fixed-epoch
+/// otherwise, and membership-aware under a churn plan. A Byzantine placement wraps
 /// it; a crash plan adds the durable journal (`store`), whose recovered
 /// prefix the engine replays before it starts; a crash or churn plan adds
 /// the anti-entropy sync channel; a service load binds the node's handle
@@ -655,17 +655,7 @@ fn build_node(
     handle: Option<&ConsensusHandle>,
 ) -> Node {
     let i = crypto.me;
-    let mut engine = if let Some(plan) = &cfg.churn {
-        let mut ctl = MembershipCtl::new(crypto.clone(), cfg.n);
-        // Genesis members sponsor the change; joiners cannot propose
-        // until they are members, so they schedule nothing.
-        if i < cfg.n {
-            for op in &plan.ops {
-                ctl.schedule_op(plan.from_epoch, *op);
-            }
-        }
-        cfg.protocol.churn_engine(crypto.clone(), ctl, cfg.workload.clone(), cfg.epochs)
-    } else if let (Some(svc), Some(h)) = (&cfg.service, handle) {
+    let mut engine = if let (Some(svc), Some(h)) = (&cfg.service, handle) {
         cfg.protocol.service_engine_at_depth(
             crypto.clone(),
             h.clone(),
@@ -674,11 +664,23 @@ fn build_node(
             cfg.pipeline_depth,
         )
     } else {
-        cfg.protocol.engine_at_depth(
+        let membership = cfg.churn.as_ref().map(|plan| {
+            let mut ctl = MembershipCtl::new(crypto.clone(), cfg.n);
+            // Genesis members sponsor the change; joiners cannot propose
+            // until they are members, so they schedule nothing.
+            if i < cfg.n {
+                for op in &plan.ops {
+                    ctl.schedule_op(plan.from_epoch, *op);
+                }
+            }
+            ctl
+        });
+        cfg.protocol.build_engine(
             crypto.clone(),
-            cfg.workload.clone(),
-            cfg.epochs,
+            cfg.workload.clone().into(),
+            StopCondition::Epochs(cfg.epochs),
             cfg.pipeline_depth,
+            membership,
         )
     };
     let journal = store.map(|store| {

@@ -12,7 +12,7 @@
 //! on any recovery bug.
 //!
 //! The canonical churn scenario is pinned as replayable fixtures
-//! (`tests/fixtures/fuzz/crash-restart.{beat,hb-sc}.json`) that
+//! (`tests/fixtures/fuzz/crash-restart.{beat,hb-sc,dumbo-sc}.json`) that
 //! `fuzz_regressions.rs` replays with the rest of the set; the encoding
 //! drift guard here keeps those files coupled to the fuzzer's own
 //! `crash_restart_case`.
@@ -22,6 +22,12 @@ use wbft_consensus::fuzz::{
     crash_restart_case, fixture_string, run_case, FuzzVerdict, DEFAULT_EVENT_BUDGET,
 };
 use wbft_consensus::{run, CrashEvent, CrashPlan, Protocol, TestbedConfig};
+
+/// The deployments whose canonical crash-restart case is pinned as a
+/// fixture: two HoneyBadger-family engines and one Dumbo engine, so both
+/// lanes' restore/adopt paths replay in tier-1.
+const CRASH_FIXTURE_PROTOCOLS: [Protocol; 3] =
+    [Protocol::Beat, Protocol::HoneyBadgerSc, Protocol::DumboSc];
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fuzz")
@@ -61,7 +67,7 @@ fn churn_tolerates_a_concurrent_byzantine_free_axis_mix() {
 
 #[test]
 fn crash_case_is_deterministic_across_replays() {
-    for p in [Protocol::Beat, Protocol::HoneyBadgerSc] {
+    for p in CRASH_FIXTURE_PROTOCOLS {
         let case = crash_restart_case(p, DEFAULT_EVENT_BUDGET);
         let a = run_case(&case);
         let b = run_case(&case);
@@ -77,7 +83,7 @@ fn crash_fixtures_match_the_canonical_encoding() {
     // the canonical crash-restart cases, so encoder drift (which would
     // silently decouple the fixtures from the fuzzer) fails loudly. The
     // replay itself happens in fuzz_regressions.rs with the full set.
-    for p in [Protocol::Beat, Protocol::HoneyBadgerSc] {
+    for p in CRASH_FIXTURE_PROTOCOLS {
         let case = crash_restart_case(p, DEFAULT_EVENT_BUDGET);
         let disk =
             std::fs::read_to_string(fixture_dir().join(format!("{}.json", case.label))).unwrap();
@@ -92,7 +98,7 @@ fn crash_fixtures_match_the_canonical_encoding() {
 #[test]
 #[ignore]
 fn regen_crash_fixtures() {
-    for p in [Protocol::Beat, Protocol::HoneyBadgerSc] {
+    for p in CRASH_FIXTURE_PROTOCOLS {
         let case = crash_restart_case(p, DEFAULT_EVENT_BUDGET);
         let path = fixture_dir().join(format!("{}.json", case.label));
         std::fs::write(&path, fixture_string(&case, FuzzVerdict::Ok)).unwrap();

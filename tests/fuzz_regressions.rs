@@ -29,7 +29,7 @@
 //!   buffering, in-order finalization, and early-decryption paths. The
 //!   fuzzer also mutates `pipeline_depth` ∈ {1, 2, 4}, so new pipelined
 //!   failures land here as minimized fixtures.
-//! * `crash-restart.{beat,hb-sc}` — one node dies five seconds in and
+//! * `crash-restart.{beat,hb-sc,dumbo-sc}` — one node dies five seconds in and
 //!   restarts after a 25 s outage, replaying its durable journal and
 //!   catching up over the anti-entropy sync channel; pins determinism and
 //!   convergence of the whole crash/recovery path (see

@@ -7,6 +7,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::time::Duration;
+use wbft_consensus::fuzz::{crash_restart_case, run_case, DEFAULT_EVENT_BUDGET};
 use wbft_consensus::netrun::{run_udp_service_node, ServiceNodeOpts};
 use wbft_consensus::report::scenario_string;
 use wbft_consensus::service::{block_digests, tx_digest, LatencySummary, Mempool};
@@ -44,6 +45,58 @@ fn fixed_epoch_reports_match_pre_redesign_fixtures() {
             "{}: fixed-epoch report diverged from the pre-redesign bytes",
             scenario.label
         );
+    }
+}
+
+/// Every deployment at W ∈ {1, 2} (single-hop, seed 7) plus the
+/// crash-restart outcome of every deployment, as produced before the
+/// HoneyBadger and Dumbo engines moved onto the shared epoch-pipeline
+/// shell. `tests/fixtures/shell/` holds those bytes; the shell must keep
+/// every lane's event stream — hence every report and recovered chain —
+/// exactly as it was.
+fn shell_pins() -> Vec<(String, String)> {
+    use wbft_report::ToJson;
+    let mut spec = SweepSpec::new("shell");
+    spec.protocols = Protocol::ALL.to_vec();
+    spec.pipeline_depths = vec![1, 2];
+    let mut pins: Vec<(String, String)> = spec
+        .expand()
+        .iter()
+        .map(|s| (s.label.clone(), scenario_string(&s.label, &s.cfg, &run(&s.cfg))))
+        .collect();
+    for p in Protocol::ALL {
+        let case = crash_restart_case(p, DEFAULT_EVENT_BUDGET);
+        let outcome = wbft_report::to_file_string(&run_case(&case).to_json());
+        pins.push((format!("{}.outcome", case.label), outcome));
+    }
+    pins
+}
+
+fn shell_fixture_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/shell")
+}
+
+#[test]
+fn every_deployment_matches_its_pre_shell_fixture() {
+    let pins = shell_pins();
+    assert_eq!(pins.len(), 2 * 8 + 8);
+    for (name, text) in pins {
+        let path = shell_fixture_dir().join(format!("{name}.json"));
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(text, golden, "{name}: diverged from the pre-shell bytes");
+    }
+}
+
+/// Rewrites `tests/fixtures/shell/`. Run only when a change is meant to
+/// alter protocol behaviour:
+/// `cargo test --test service regen_shell_fixtures -- --ignored`
+#[test]
+#[ignore]
+fn regen_shell_fixtures() {
+    std::fs::create_dir_all(shell_fixture_dir()).unwrap();
+    for (name, text) in shell_pins() {
+        std::fs::write(shell_fixture_dir().join(format!("{name}.json")), text).unwrap();
     }
 }
 
