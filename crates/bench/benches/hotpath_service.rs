@@ -8,8 +8,13 @@
 //! ultimately pays n² times). Prints the table and writes a JSON report to
 //! `target/reports/hotpath/` so CI tracks the numbers across PRs.
 //!
+//! Envelope open is timed warm (one envelope re-opened) and cold (distinct
+//! envelopes, each opened once on a fresh thread), with a key's comb-table
+//! build as its own row.
+//!
 //! Acceptance gates are deliberately loose (shared runners are noisy):
-//! admission must stay under 50µs/tx and the codecs under 100µs/op.
+//! admission must stay under 50µs/tx, the codecs under 100µs/op and a cold
+//! envelope open under 25µs.
 
 use rand::SeedableRng;
 use std::time::Instant;
@@ -150,16 +155,45 @@ fn main() {
     let (sealed, _) = env.seal(&crypto.keypair, &sizing).expect("seals");
     let seal_us = time_us(reps, || env.seal(&crypto.keypair, &sizing).expect("seals"));
     let peer_keys = crypto.peer_keys.clone();
-    let open_us = time_us(reps, || {
-        Envelope::open(&sealed, |src| peer_keys.get(src as usize).copied()).expect("opens")
+    let open = |bytes: &[u8]| {
+        let (_, sig_ok) =
+            Envelope::open(bytes, |src| peer_keys.get(src as usize).copied()).expect("opens");
+        assert!(sig_ok, "a sealed envelope failed to verify");
+    };
+    // Warm: the same envelope over and over, as a retransmission would be.
+    let open_warm_us = time_us(reps, || open(&sealed));
+    // Cold: `reps` distinct envelopes (distinct sessions, so distinct
+    // signature commitments), each opened once on a thread whose memos
+    // start empty — the cost of real traffic. The sender's key table is
+    // built by one untimed open first; its cost is the row below.
+    let fresh: Vec<_> = (0..=reps as u64)
+        .map(|i| {
+            let env = Envelope { session: 1_000 + i, ..env.clone() };
+            env.seal(&crypto.keypair, &sizing).expect("seals").0
+        })
+        .collect();
+    let open_cold_us = std::thread::scope(|s| {
+        s.spawn(|| {
+            open(&fresh[0]);
+            let t0 = Instant::now();
+            for bytes in &fresh[1..] {
+                open(bytes);
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / reps as f64
+        })
+        .join()
+        .expect("cold open thread")
     });
-    println!(
-        "{}",
-        row(
-            &["envelope (signed)".into(), format!("{seal_us:.2}"), format!("{open_us:.2}")],
-            &widths
-        )
-    );
+    // First contact with a key: building its comb table.
+    let key_point = wbft_crypto::GroupElem::from_exponent(&wbft_crypto::Scalar::from_u64(0x5e41));
+    let table_build_us = time_us(reps, || wbft_crypto::group::CombTable::new(&key_point));
+    for (name, seal, open) in [
+        ("envelope (warm open)", format!("{seal_us:.2}"), open_warm_us),
+        ("envelope (cold open)", "-".into(), open_cold_us),
+        ("key table build", "-".into(), table_build_us),
+    ] {
+        println!("{}", row(&[name.into(), seal, format!("{open:.2}")], &widths));
+    }
 
     // ------------------------------------------------------------- report
     let report = Json::obj([
@@ -182,7 +216,9 @@ fn main() {
                 ("datagram_encode_us", Json::f64(dgram_enc_us)),
                 ("datagram_decode_us", Json::f64(dgram_dec_us)),
                 ("envelope_seal_us", Json::f64(seal_us)),
-                ("envelope_open_us", Json::f64(open_us)),
+                ("envelope_open_warm_us", Json::f64(open_warm_us)),
+                ("envelope_open_cold_us", Json::f64(open_cold_us)),
+                ("schnorr_table_build_us", Json::f64(table_build_us)),
             ]),
         ),
     ]);
@@ -200,8 +236,12 @@ fn main() {
         ("client decode", client_dec_us, 100.0),
         ("datagram encode", dgram_enc_us, 100.0),
         ("datagram decode", dgram_dec_us, 100.0),
+        ("envelope cold open", open_cold_us, 25.0),
     ] {
         assert!(us < floor, "{name} regressed to {us:.1}µs (floor {floor}µs)");
     }
-    println!("[hotpath_service] OK (admit {admit_us:.2}µs/tx, seal {seal_us:.1}µs)");
+    println!(
+        "[hotpath_service] OK (admit {admit_us:.2}µs/tx, seal {seal_us:.1}µs, \
+         cold open {open_cold_us:.1}µs)"
+    );
 }

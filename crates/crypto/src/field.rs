@@ -16,7 +16,7 @@
 //! The safe-prime pair was found by exhaustive search over `c` with 40-round
 //! Miller–Rabin on both `p` and `(p−1)/2`; see DESIGN.md.
 
-use crate::limbs::{add, canonicalize, fold_wide, mul_wide, sub};
+use crate::limbs::{add, canonicalize, fold_wide, geq, mul_wide, sub};
 use rand::RngCore;
 
 macro_rules! prime_field {
@@ -57,13 +57,26 @@ macro_rules! prime_field {
 
             /// Interprets 32 little-endian bytes as an integer and reduces it.
             pub fn from_bytes_reduced(bytes: &[u8; 32]) -> Self {
+                Self::from_limbs(Self::from_bytes_unreduced(bytes))
+            }
+
+            /// Interprets 32 little-endian bytes as an integer, accepting
+            /// only the canonical encoding (a value below the modulus).
+            /// Wire fields that are signed over use this, so no value has a
+            /// second encoding.
+            pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Option<Self> {
+                let limbs = Self::from_bytes_unreduced(bytes);
+                (!geq(&limbs, &Self::MODULUS)).then_some(Self { limbs })
+            }
+
+            fn from_bytes_unreduced(bytes: &[u8; 32]) -> [u64; 4] {
                 let mut limbs = [0u64; 4];
                 for (i, limb) in limbs.iter_mut().enumerate() {
                     let mut chunk = [0u8; 8];
                     chunk.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
                     *limb = u64::from_le_bytes(chunk);
                 }
-                Self::from_limbs(limbs)
+                limbs
             }
 
             /// Interprets 64 little-endian bytes as an integer and reduces it.
@@ -367,6 +380,19 @@ mod tests {
         let x = fe(0xdead_beef) * fe(0x1234_5678) + fe(99);
         let b = x.to_bytes();
         assert_eq!(Fe::from_bytes_reduced(&b), x);
+    }
+
+    #[test]
+    fn canonical_decode_rejects_values_at_or_above_the_modulus() {
+        let top = Scalar::ONE.neg();
+        assert_eq!(Scalar::from_canonical_bytes(&top.to_bytes()), Some(top));
+        let mut q = [0u8; 32];
+        for (chunk, limb) in q.chunks_exact_mut(8).zip(Scalar::MODULUS) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
+        }
+        assert_eq!(Scalar::from_canonical_bytes(&q), None);
+        assert_eq!(Scalar::from_canonical_bytes(&[0xff; 32]), None);
+        assert_eq!(Fe::from_canonical_bytes(&q), Some(Fe::from_bytes_reduced(&q)));
     }
 
     #[test]

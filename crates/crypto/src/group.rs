@@ -8,7 +8,7 @@
 //! ## Fast paths
 //!
 //! Exponentiation dominates every threshold operation, so this module
-//! carries three accelerations used throughout the workspace:
+//! carries four accelerations used throughout the workspace:
 //!
 //! * **Fixed-base windowed exponentiation** ([`PrecomputedBase`]): a
 //!   4-bit-window table (`64 windows × 16 entries`) turns a ~256-double /
@@ -20,10 +20,15 @@
 //!   Straus/Shamir interleaving for < 16 bases, a Pippenger bucket pass for
 //!   ≥ 16 — one shared squaring chain for the whole product. Backs Lagrange
 //!   combination and batched share verification.
+//! * **Fixed-base comb** ([`CombTable`]): 16 teeth × 16 entries (8 KiB), a
+//!   pow in 4 passes of ≤ 16 multiplies and 12 squarings in all. Packet
+//!   signature verification keeps one per peer key
+//!   ([`crate::schnorr::PublicKey::verify_encoded`]); at a quarter of a
+//!   window table, a table per key leaves peak memory flat.
 //! * **Subgroup-membership memo**: [`GroupElem::from_bytes`] caches the
 //!   Euler-criterion exponentiation per canonical encoding, so re-decoding
-//!   the same share/signature bytes across retransmissions is a hash-map
-//!   hit instead of a 254-bit pow.
+//!   the same share bytes across retransmissions is a hash-map hit instead
+//!   of a 254-bit pow.
 
 use crate::field::{Fe, Scalar};
 use crate::hash::Digest32;
@@ -109,6 +114,75 @@ impl PrecomputedBase {
 impl core::fmt::Debug for PrecomputedBase {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PrecomputedBase").field("base", &self.base()).finish_non_exhaustive()
+    }
+}
+
+/// A fixed-base comb table: 16 teeth spaced 16 bits apart, each holding the
+/// 16 multiples `base^(d · 2^(16j))` for `d ∈ 0..16`.
+///
+/// `pow` reads the exponent as 16 blocks of 16 bits and walks the four
+/// nibble positions of every block together, most significant first: 4
+/// passes of at most 16 table multiplies, joined by 4 squarings each (12
+/// in all). At 8 KiB it is a quarter of a [`PrecomputedBase`] for 12 extra
+/// squarings per pow, which is what lets one table per peer key stay
+/// resident. Building one costs ~430 multiplies (≈ 1.2 plain
+/// exponentiations).
+pub struct CombTable {
+    /// `rows[j][d] = base^(d · 2^(16j))`; `rows[j][0]` is unused.
+    rows: Box<[[Fe; 16]; 16]>,
+}
+
+impl CombTable {
+    /// Builds the comb table for `base`.
+    pub fn new(base: &GroupElem) -> Self {
+        let mut rows = Box::new([[Fe::ONE; 16]; 16]);
+        let mut tooth = base.0; // base^(2^(16j))
+        for row in rows.iter_mut() {
+            row[1] = tooth;
+            for d in 2..16 {
+                row[d] = row[d - 1].mul(&tooth);
+            }
+            // Next tooth: (tooth^16)^(2^12) = tooth^(2^16).
+            tooth = row[15].mul(&tooth);
+            for _ in 0..12 {
+                tooth = tooth.square();
+            }
+        }
+        CombTable { rows }
+    }
+
+    /// The base this table was built for.
+    pub fn base(&self) -> GroupElem {
+        GroupElem(self.rows[0][1])
+    }
+
+    /// `base^exp`: for each nibble position `k` of the 16-bit blocks, high
+    /// to low, square four times (not before the first pass), then multiply
+    /// in `rows[j][d]` for the digit `d` at bits `16j + 4k` of every block
+    /// `j`.
+    pub fn pow(&self, exp: &Scalar) -> GroupElem {
+        let limbs = exp.limbs();
+        let mut acc = Fe::ONE;
+        for k in (0..4).rev() {
+            if k != 3 {
+                for _ in 0..4 {
+                    acc = acc.square();
+                }
+            }
+            for (j, row) in self.rows.iter().enumerate() {
+                let d = window_digit(&limbs, 4 * j + k);
+                if d != 0 {
+                    acc = acc.mul(&row[d]);
+                }
+            }
+        }
+        GroupElem(acc)
+    }
+}
+
+impl core::fmt::Debug for CombTable {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("CombTable").field("base", &self.base()).finish_non_exhaustive()
     }
 }
 
@@ -497,6 +571,21 @@ mod tests {
             assert_eq!(table.pow(&e), base.pow(&e));
         }
         assert_eq!(table.pow(&Scalar::ZERO), GroupElem::identity());
+    }
+
+    #[test]
+    fn comb_table_matches_plain_pow_at_edge_exponents() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let base = GroupElem::from_exponent(&Scalar::random(&mut rng));
+        let table = CombTable::new(&base);
+        assert_eq!(table.base(), base);
+        let q_minus_1 = Scalar::ONE.neg();
+        let short = Scalar::from_u64(rng.next_u64());
+        for e in [Scalar::ZERO, Scalar::ONE, q_minus_1, short, Scalar::from_u64(u64::MAX)] {
+            assert_eq!(table.pow(&e), base.pow(&e), "{e:?}");
+        }
+        assert_eq!(table.pow(&q_minus_1), base.invert());
     }
 
     #[test]

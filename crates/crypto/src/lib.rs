@@ -55,10 +55,12 @@
 //! [`thresh_coin::CoinPublicSet`], random linear combination with
 //! deterministic 64-bit coefficients and a per-share fallback), memoized
 //! batch-inverted Lagrange coefficients
-//! ([`shamir::lagrange_coeffs_at_zero`]), and a subgroup-membership decode
-//! memo. None of it perturbs determinism: every cache is keyed purely by
-//! its inputs. See the workspace README ("Crypto fast paths") for measured
-//! numbers.
+//! ([`shamir::lagrange_coeffs_at_zero`]), a subgroup-membership decode
+//! memo, and per-key comb tables ([`group::CombTable`]) for packet-signature
+//! verification, held in a thread-local map of at most 32 keys (8 KiB
+//! each) keyed by the key's encoding. None of it perturbs determinism:
+//! every cache is keyed purely by its inputs. See the workspace README
+//! ("Crypto fast paths") for measured numbers.
 
 mod batch;
 pub mod field;

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use wbft_crypto::field::{Fe, Scalar};
-use wbft_crypto::group::GroupElem;
+use wbft_crypto::group::{CombTable, GroupElem};
 use wbft_crypto::merkle::MerkleTree;
 use wbft_crypto::shamir::{reconstruct_secret, Polynomial, ShareIndex};
 use wbft_crypto::{reshare, thresh_coin, thresh_enc, thresh_sig, ThresholdCurve};
@@ -165,6 +165,16 @@ proptest! {
     }
 
     // ---------------------------------------------------------- fast paths
+
+    #[test]
+    fn comb_pow_equals_plain_pow(seed in any::<u64>(), short in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let base = GroupElem::from_exponent(&Scalar::random(&mut rng));
+        let table = CombTable::new(&base);
+        for e in [Scalar::random(&mut rng), Scalar::from_u64(short), Scalar::ONE.neg()] {
+            prop_assert_eq!(table.pow(&e), base.pow(&e));
+        }
+    }
 
     #[test]
     fn multi_pow_equals_naive_product(seed in any::<u64>(), k in 1usize..=32) {

@@ -15,11 +15,11 @@ use crate::vote::{BinValues, Vote};
 use crate::wire::{ByteSink, CoinFlavor, CountSink, Sink, Sizing, WireError, WireReader};
 use bytes::Bytes;
 use wbft_crypto::hash::Digest32;
-use wbft_crypto::schnorr::{KeyPair, PublicKey, Signature};
+use wbft_crypto::schnorr::{KeyPair, PublicKey};
 use wbft_crypto::thresh_coin::CoinShare;
 use wbft_crypto::thresh_enc::DecShare;
 use wbft_crypto::thresh_sig::{SigShare, ThresholdSignature};
-use wbft_crypto::{GroupElem, Scalar};
+use wbft_crypto::Scalar;
 
 /// Per-instance entry of a batched Bracha-ABA packet (Fig. 6a): the node's
 /// current reports for all three phase-RBCs of its active round.
@@ -994,12 +994,11 @@ impl Envelope {
             sig_bytes.get(..32).and_then(|b| b.try_into().ok()).ok_or(WireError::Truncated)?;
         let z_bytes: [u8; 32] =
             sig_bytes.get(32..).and_then(|b| b.try_into().ok()).ok_or(WireError::Truncated)?;
-        let sig_ok = match GroupElem::from_bytes(&r_bytes) {
-            Ok(r_elem) => {
-                let sig = Signature { r: r_elem, z: Scalar::from_bytes_reduced(&z_bytes) };
-                pk_of(src).map(|pk| pk.verify(signed, &sig).is_ok()).unwrap_or(false)
-            }
-            Err(_) => false,
+        // `r` is checked as the received bytes and `z` must be canonical, so
+        // a frame has one accepted encoding (no `r + p` or `z + q` twins).
+        let sig_ok = match (pk_of(src), Scalar::from_canonical_bytes(&z_bytes)) {
+            (Some(pk), Some(z)) => pk.verify_encoded(signed, &r_bytes, &z).is_ok(),
+            _ => false,
         };
         Ok((Envelope { src, session, body }, key_epoch, sig_ok))
     }
@@ -1179,6 +1178,49 @@ mod tests {
         let (opened, sig_ok) = Envelope::open(&tampered, |_| Some(kp.public())).unwrap();
         assert!(!sig_ok);
         let _ = opened;
+    }
+
+    /// Adds the 256-bit little-endian `m` to `bytes` in place.
+    fn add_modulus(bytes: &mut [u8], m: &[u64; 4]) {
+        let mut carry = 0u128;
+        for (chunk, limb) in bytes.chunks_exact_mut(8).zip(m) {
+            let word = u64::from_le_bytes(chunk.try_into().unwrap());
+            let sum = word as u128 + *limb as u128 + carry;
+            chunk.copy_from_slice(&(sum as u64).to_le_bytes());
+            carry = sum >> 64;
+        }
+        assert_eq!(carry, 0, "r < p and z < q leave room for one more modulus");
+    }
+
+    #[test]
+    fn non_canonical_signature_encodings_fail() {
+        use wbft_crypto::Fe;
+        let kp = keypair();
+        let env = Envelope {
+            src: 0,
+            session: 1,
+            body: Body::BaseAbaDecided { instance: 0, value: true },
+        };
+        let (bytes, _) = env.seal(&kp, &Sizing::light(4)).unwrap();
+        let sig_at = bytes.len() - 64;
+        // `r + p` and `z + q` reduce to the signed values, so a decoder that
+        // reduces them would accept a second encoding of the same frame.
+        let reduce_r: fn(&[u8; 32]) -> [u8; 32] = |b| Fe::from_bytes_reduced(b).to_bytes();
+        let reduce_z: fn(&[u8; 32]) -> [u8; 32] = |b| Scalar::from_bytes_reduced(b).to_bytes();
+        for (offset, modulus, reduce) in [(0, Fe::MODULUS, reduce_r), (32, Scalar::MODULUS, reduce_z)]
+        {
+            let mut twin = bytes.to_vec();
+            let field = sig_at + offset..sig_at + offset + 32;
+            add_modulus(&mut twin[field.clone()], &modulus);
+            let signed: [u8; 32] = bytes[field.clone()].try_into().unwrap();
+            let mutated: [u8; 32] = twin[field].try_into().unwrap();
+            assert_ne!(signed, mutated);
+            assert_eq!(reduce(&signed), reduce(&mutated));
+            let (opened, sig_ok) = Envelope::open(&twin, |_| Some(kp.public())).unwrap();
+            assert_eq!(opened, env);
+            assert!(!sig_ok, "a non-canonical twin at offset {offset} verified");
+        }
+        assert!(Envelope::open(&bytes, |_| Some(kp.public())).unwrap().1);
     }
 
     #[test]
