@@ -10,7 +10,8 @@
 //!
 //! Envelope open is timed warm (one envelope re-opened) and cold (distinct
 //! envelopes, each opened once on a fresh thread), with a key's comb-table
-//! build as its own row.
+//! build as its own row. Reseal times the retransmission of an unchanged
+//! packet: encoding it and finding the previous frame still valid.
 //!
 //! Acceptance gates are deliberately loose (shared runners are noisy):
 //! admission must stay under 50µs/tx, the codecs under 100µs/op and a cold
@@ -154,6 +155,9 @@ fn main() {
     };
     let (sealed, _) = env.seal(&crypto.keypair, &sizing).expect("seals");
     let seal_us = time_us(reps, || env.seal(&crypto.keypair, &sizing).expect("seals"));
+    let reseal_us = time_us(reps, || {
+        env.reseal_tagged(&crypto.keypair, &sizing, 0, Some(&sealed)).expect("seals")
+    });
     let peer_keys = crypto.peer_keys.clone();
     let open = |bytes: &[u8]| {
         let (_, sig_ok) =
@@ -188,11 +192,12 @@ fn main() {
     let key_point = wbft_crypto::GroupElem::from_exponent(&wbft_crypto::Scalar::from_u64(0x5e41));
     let table_build_us = time_us(reps, || wbft_crypto::group::CombTable::new(&key_point));
     for (name, seal, open) in [
-        ("envelope (warm open)", format!("{seal_us:.2}"), open_warm_us),
-        ("envelope (cold open)", "-".into(), open_cold_us),
-        ("key table build", "-".into(), table_build_us),
+        ("envelope (warm open)", format!("{seal_us:.2}"), format!("{open_warm_us:.2}")),
+        ("envelope (reseal)", format!("{reseal_us:.2}"), "-".into()),
+        ("envelope (cold open)", "-".into(), format!("{open_cold_us:.2}")),
+        ("key table build", "-".into(), format!("{table_build_us:.2}")),
     ] {
-        println!("{}", row(&[name.into(), seal, format!("{open:.2}")], &widths));
+        println!("{}", row(&[name.into(), seal, open], &widths));
     }
 
     // ------------------------------------------------------------- report
@@ -216,6 +221,7 @@ fn main() {
                 ("datagram_encode_us", Json::f64(dgram_enc_us)),
                 ("datagram_decode_us", Json::f64(dgram_dec_us)),
                 ("envelope_seal_us", Json::f64(seal_us)),
+                ("envelope_reseal_us", Json::f64(reseal_us)),
                 ("envelope_open_warm_us", Json::f64(open_warm_us)),
                 ("envelope_open_cold_us", Json::f64(open_cold_us)),
                 ("schnorr_table_build_us", Json::f64(table_build_us)),

@@ -44,6 +44,10 @@ fn main() {
         base_case(Protocol::Beat, DEFAULT_EVENT_BUDGET),
         base_case(Protocol::HoneyBadgerSc, DEFAULT_EVENT_BUDGET),
         base_case(Protocol::DumboSc, DEFAULT_EVENT_BUDGET),
+        // Unbatched per-instance packets under NACK-driven retransmission:
+        // most sends re-seal an unchanged packet and most deliveries repeat
+        // a frame the receiver already verified.
+        base_case(Protocol::BeatBaseline, DEFAULT_EVENT_BUDGET),
         // Scheduler interposition on the delivery path: the CoinStarve
         // policy decodes every frame, the worst per-delivery overhead.
         coin_starvation_case(Protocol::Beat, DEFAULT_EVENT_BUDGET),

@@ -8,8 +8,18 @@
 //! opens incoming frames (charging the verify cost, dropping bad
 //! signatures), translates component timers, and applies the transmit-queue
 //! slot discipline that lets a newer combined packet supersede a stale one.
+//!
+//! NACK-driven retransmission re-sends each slot's current packet on a
+//! timer, mostly unchanged, so the node does its Schnorr work once per
+//! distinct frame. It keeps the last frame it sealed per transmit slot,
+//! which an unchanged packet reuses instead of signing again, and the last
+//! frame that verified per `(src, slot)`, whose byte-identical repeats are
+//! not verified again. Both memos are bounded (`FrameMemos`) and change
+//! wall-clock time only: the virtual sign and verify costs are charged for
+//! every frame as before.
 
 use bytes::Bytes;
+use std::collections::BTreeMap;
 use wbft_components::NodeCrypto;
 use wbft_net::{Body, Envelope, Sizing};
 use wbft_wireless::{ChannelId, Frame, NodeBehavior, NodeCtx, SimDuration, SimTime};
@@ -229,8 +239,74 @@ pub struct ProtocolNode<E: Engine> {
     /// capacity serves every event instead of fresh `Vec`s per frame/timer
     /// — the driver sits on the simulator's hot path.
     scratch: EngineOut,
-    /// Timer-id translation: global id = session * 2^10 + local.
-    _private: (),
+    /// Frames this node sealed and verified, so that it signs and verifies
+    /// each distinct frame once.
+    memos: FrameMemos,
+}
+
+/// Most transmit slots per committee member a node's seal memo holds
+/// before it is cleared; its verified-frame memo holds as many per peer.
+/// Per-instance packets make a node's live slots grow with `n`, and the
+/// driver never prunes the slots of finished epochs, so the cap is what
+/// bounds a long-running node.
+const MEMO_SLOTS_PER_MEMBER: usize = 32;
+
+/// The last frame a node sealed per transmit slot and the latest frame that
+/// passed the signature check per `(src, slot)`. Both maps are cleared
+/// wholesale when full. They start at an eighth of their cap and double
+/// each time the seal memo fills after at least one unchanged re-seal per
+/// entry: a node whose own packets are re-sent unchanged can expect its
+/// peers' to repeat too, while a live UDP node, which never re-seals, keeps
+/// both small instead of holding frames that never repeat.
+struct FrameMemos {
+    sealed: BTreeMap<u64, Bytes>,
+    verified: BTreeMap<(u16, u64), Bytes>,
+    /// Slots the seal memo holds now; the verified-frame memo holds
+    /// `peers` times as many.
+    cap: usize,
+    max_cap: usize,
+    peers: usize,
+    /// Unchanged re-seals since the seal memo was last cleared.
+    reseals: usize,
+}
+
+impl FrameMemos {
+    fn new(n: usize) -> Self {
+        let max_cap = MEMO_SLOTS_PER_MEMBER * n.max(1);
+        FrameMemos {
+            sealed: BTreeMap::new(),
+            verified: BTreeMap::new(),
+            cap: max_cap.div_ceil(8),
+            max_cap,
+            peers: n.saturating_sub(1).max(1),
+            reseals: 0,
+        }
+    }
+
+    /// Records the frame just sealed in `slot`.
+    fn record_sealed(&mut self, slot: u64, frame: Bytes) {
+        if self.sealed.get(&slot) == Some(&frame) {
+            self.reseals += 1;
+            return;
+        }
+        if self.sealed.len() >= self.cap && !self.sealed.contains_key(&slot) {
+            if self.reseals >= self.cap {
+                self.cap = (self.cap * 2).min(self.max_cap);
+            }
+            self.reseals = 0;
+            self.sealed.clear();
+        }
+        self.sealed.insert(slot, frame);
+    }
+
+    /// Records a frame from `src` in `slot` that passed the signature check.
+    fn record_verified(&mut self, src: u16, slot: u64, frame: Bytes) {
+        let key = (src, slot);
+        if self.verified.len() >= self.cap * self.peers && !self.verified.contains_key(&key) {
+            self.verified.clear();
+        }
+        self.verified.insert(key, frame);
+    }
 }
 
 /// Timer-id packing: 10 bits of component-local id.
@@ -269,7 +345,7 @@ impl<E: Engine> ProtocolNode<E> {
             journal: None,
             sync: None,
             scratch: EngineOut::new(),
-            _private: (),
+            memos: FrameMemos::new(sizing.n),
         }
     }
 
@@ -380,19 +456,20 @@ impl<E: Engine> ProtocolNode<E> {
         let sign_cost = self.crypto.suite.ecdsa.profile().sign_us;
         for (session, body) in out.sends.drain(..) {
             let tag = self.engine.key_epoch(session);
+            let slot = transmit_slot(session, &body);
             let env = Envelope { src: self.crypto.me as u16, session, body };
             ctx.charge_cpu(SimDuration::from_micros(sign_cost));
             // An unencodable (oversized) body is dropped, never a panic: a
             // hostile or runaway message must not abort the node.
-            let Ok((bytes, nominal)) = env.seal_tagged(&self.crypto.keypair, &self.sizing, tag)
-            else {
+            let Ok((bytes, nominal)) = env.reseal_tagged(
+                &self.crypto.keypair,
+                &self.sizing,
+                tag,
+                self.memos.sealed.get(&slot),
+            ) else {
                 continue;
             };
-            // Slot: combined packets supersede stale queued versions; the
-            // session disambiguates components.
-            let slot = session
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(env.body.slot_key());
+            self.memos.record_sealed(slot, bytes.clone());
             ctx.broadcast_slot(self.channel, bytes, nominal, slot);
         }
         for (session, local, delay) in out.timers.drain(..) {
@@ -564,13 +641,21 @@ impl<E: Engine> NodeBehavior for ProtocolNode<E> {
         // not — the radio delivered it, the CPU must check it).
         ctx.charge_cpu(SimDuration::from_micros(self.crypto.suite.ecdsa.profile().verify_us));
         let peer_keys = &self.crypto.peer_keys;
-        let opened = Envelope::open_tagged(&frame.payload, |src| {
-            peer_keys.get(src as usize).copied()
-        });
+        let verified = &self.memos.verified;
+        let opened = Envelope::open_tagged_known(
+            &frame.payload,
+            |src| peer_keys.get(src as usize).copied(),
+            |env| {
+                let key = (env.src, transmit_slot(env.session, &env.body));
+                verified.get(&key) == Some(&frame.payload)
+            },
+        );
         let Ok((env, tag, sig_ok)) = opened else { return };
         if !sig_ok {
             return;
         }
+        let slot = transmit_slot(env.session, &env.body);
+        self.memos.record_verified(env.src, slot, frame.payload.clone());
         // Key-epoch fencing: a frame tagged for another threshold-key
         // generation carries shares this node could only mis-combine (or,
         // pre-roll, cannot verify at all) — drop it; the sender's
@@ -615,6 +700,12 @@ impl<E: Engine> NodeBehavior for ProtocolNode<E> {
     }
 }
 
+/// The transmit-queue slot of a packet: combined packets supersede stale
+/// queued versions; the session disambiguates components.
+pub(crate) fn transmit_slot(session: u64, body: &Body) -> u64 {
+    session.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(body.slot_key())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,6 +718,169 @@ mod tests {
                 assert_eq!(sessions::split(s), (epoch, role));
             }
         }
+    }
+
+    /// Records every body it is handed; on any timer, sends its outbox.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<(u64, usize, Body)>,
+        outbox: Vec<(u64, Body)>,
+    }
+
+    impl Engine for Recorder {
+        fn start(&mut self, _out: &mut EngineOut) {}
+        fn handle(&mut self, session: u64, from: usize, body: &Body, _out: &mut EngineOut) {
+            self.seen.push((session, from, body.clone()));
+        }
+        fn on_timer(&mut self, _session: u64, _local: u32, out: &mut EngineOut) {
+            out.sends.append(&mut self.outbox);
+        }
+        fn blocks(&self) -> &[Block] {
+            &[]
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+    }
+
+    fn dealt() -> Vec<NodeCrypto> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf4a3);
+        wbft_components::deal_node_crypto(4, wbft_crypto::CryptoSuite::light(), &mut rng)
+    }
+
+    fn echo_ready(echoed: u16) -> Body {
+        let mut echo = wbft_net::Bitmap::new(4);
+        echo.set(echoed as usize, true);
+        Body::RbcEchoReady {
+            roots: vec![wbft_crypto::hash::Digest32([7; 32]); 4],
+            echo,
+            ready: wbft_net::Bitmap::new(4),
+            echo_nack: wbft_net::Bitmap::new(4),
+            ready_nack: wbft_net::Bitmap::new(4),
+            init_nack: wbft_net::Bitmap::new(4),
+        }
+    }
+
+    /// Runs one callback on `node` and returns the payloads it broadcast.
+    fn drive(
+        node: &mut ProtocolNode<Recorder>,
+        f: impl FnOnce(&mut ProtocolNode<Recorder>, &mut NodeCtx),
+    ) -> Vec<Bytes> {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(1);
+        let mut ctx = NodeCtx::external(SimTime::ZERO, wbft_wireless::NodeId(0), &mut rng);
+        f(node, &mut ctx);
+        let (cmds, _) = ctx.finish();
+        cmds.into_iter()
+            .filter_map(|c| match c {
+                wbft_wireless::Command::Broadcast { payload, .. } => Some(payload),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn deliver(node: &mut ProtocolNode<Recorder>, payload: &Bytes) {
+        let frame = Frame {
+            src: wbft_wireless::NodeId(1),
+            channel: ChannelId(0),
+            payload: payload.clone(),
+            nominal_len: payload.len(),
+        };
+        drive(node, |n, ctx| n.on_frame(&frame, ctx));
+    }
+
+    /// `signed` (a sealed frame) with its signature replaced by `sig_of`'s.
+    fn with_signature_of(signed: &Bytes, sig_of: &Bytes) -> Bytes {
+        let mut v = signed.to_vec();
+        let at = v.len() - 64;
+        v.truncate(at);
+        v.extend_from_slice(&sig_of[sig_of.len() - 64..]);
+        Bytes::from(v)
+    }
+
+    #[test]
+    fn repeated_signature_bytes_never_vouch_for_other_bytes() {
+        let crypto = dealt();
+        let sizing = Sizing::light(4);
+        let sender = &crypto[1].keypair;
+        let session = sessions::of(3, sessions::BROADCAST);
+        let seal = |src: u16, body: Body, tag: u64| {
+            Envelope { src, session, body }.seal_tagged(sender, &sizing, tag).expect("seals").0
+        };
+        let genuine = seal(1, echo_ready(2), 0);
+        let forgeries = [
+            // One body byte differs (one more echo bit), same slot.
+            with_signature_of(&seal(1, echo_ready(3), 0), &genuine),
+            // Another sender's header.
+            with_signature_of(&seal(2, echo_ready(2), 0), &genuine),
+            // A key-epoch tag appended to the signed region.
+            with_signature_of(&seal(1, echo_ready(2), 1), &genuine),
+        ];
+        let mut node = ProtocolNode::new(Recorder::default(), crypto[0].clone(), ChannelId(0));
+        deliver(&mut node, &genuine);
+        deliver(&mut node, &genuine);
+        assert_eq!(node.engine().seen.len(), 2, "a verified frame and its repeat");
+        for forged in &forgeries {
+            deliver(&mut node, forged);
+            assert_eq!(node.engine().seen.len(), 2, "a forgery reached the engine");
+            assert!(node.memos.verified.values().all(|v| v != forged), "a forgery was remembered");
+        }
+        deliver(&mut node, &genuine);
+        assert_eq!(node.engine().seen.len(), 3);
+        assert!(node.engine().seen.iter().all(|(s, from, b)| {
+            (*s, *from, b) == (session, 1, &echo_ready(2))
+        }));
+    }
+
+    #[test]
+    fn frame_memos_stay_bounded_and_correct_across_evictions() {
+        let crypto = dealt();
+        let sizing = Sizing::light(4);
+        let me = &crypto[0];
+        let peer = &crypto[1].keypair;
+        let mut node = ProtocolNode::new(Recorder::default(), me.clone(), ChannelId(0));
+        let bounded = |m: &FrameMemos| {
+            m.cap <= m.max_cap && m.sealed.len() <= m.cap && m.verified.len() <= m.cap * m.peers
+        };
+        // Four times the largest verified-frame memo in distinct slots.
+        let slots = 4 * node.memos.max_cap * node.memos.peers;
+        let body = |round: usize, i: usize| echo_ready(((round + i) % 4) as u16);
+        let session = |i: usize| sessions::of(i as u64, sessions::BROADCAST);
+        // Receive side first, on a node that has not re-sealed anything:
+        // distinct frames from one peer, each delivered twice, interleaved
+        // with a forgery that reuses its signature bytes.
+        let mut accepted = 0;
+        for round in 0..2 {
+            for i in 0..slots {
+                let env = Envelope { src: 1, session: session(i), body: body(round, i) };
+                let genuine = env.seal_tagged(peer, &sizing, 0).expect("seals").0;
+                let forged = Envelope { body: body(round + 1, i), ..env };
+                let forged =
+                    with_signature_of(&forged.seal(peer, &sizing).expect("seals").0, &genuine);
+                for payload in [&genuine, &forged, &genuine] {
+                    deliver(&mut node, payload);
+                }
+                accepted += 2;
+                assert_eq!(node.engine().seen.len(), accepted);
+                assert!(bounded(&node.memos));
+            }
+        }
+        assert!(node.memos.cap < node.memos.max_cap, "grew without re-seals");
+        // Send side: each packet re-sent unchanged right away, so the memos
+        // grow to their cap; every frame equals a fresh seal.
+        for round in 0..2 {
+            node.engine_mut().outbox =
+                (0..2 * slots).map(|j| (session(j / 2), body(round, j / 2))).collect();
+            let sent = drive(&mut node, |n, ctx| n.on_timer(0, ctx));
+            assert_eq!(sent.len(), 2 * slots);
+            for (j, bytes) in sent.iter().enumerate() {
+                let env = Envelope { src: 0, session: session(j / 2), body: body(round, j / 2) };
+                assert_eq!(*bytes, env.seal_tagged(&me.keypair, &sizing, 0).expect("seals").0);
+            }
+            assert!(bounded(&node.memos));
+        }
+        assert_eq!(node.memos.cap, node.memos.max_cap);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Byzantine leader; followers learn the global outcome from the leader's
 //! announcement frame on the cluster channel.
 
-use crate::driver::{sessions, Block, Engine, EngineOut};
+use crate::driver::{sessions, transmit_slot, Block, Engine, EngineOut};
 use crate::honeybadger::{hb_sc, HbEngine};
 use crate::protocol::Protocol;
 use crate::service::StopCondition;
@@ -186,9 +186,7 @@ impl ClusterNode {
             let Ok((bytes, nominal)) = env.seal(&crypto.keypair, sizing) else {
                 continue;
             };
-            let slot =
-                session.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(env.body.slot_key());
-            ctx.broadcast_slot(channel, bytes, nominal, slot);
+            ctx.broadcast_slot(channel, bytes, nominal, transmit_slot(session, &env.body));
         }
         for (session, local, delay) in &out.timers {
             let mut id = ((*session + offset) << TIMER_LOCAL_BITS) | *local as u64;

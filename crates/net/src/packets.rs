@@ -918,6 +918,28 @@ impl Envelope {
         sizing: &Sizing,
         key_epoch: u64,
     ) -> Result<(Bytes, usize), WireError> {
+        self.reseal_tagged(keypair, sizing, key_epoch, None)
+    }
+
+    /// [`Envelope::seal_tagged`] for a sender that keeps the frame it last
+    /// sealed in the same transmit slot: when `prev`'s signed region equals
+    /// the new encoding byte for byte, `prev` is returned and nothing is
+    /// signed. Signing is deterministic, so the result is the frame
+    /// `seal_tagged` would produce. `prev` must have been sealed under
+    /// `keypair`: a frame carries no trace of its signing key, and telling
+    /// two keys apart from the bytes costs two hashes per call.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversize`] under the same conditions as
+    /// [`Envelope::seal`].
+    pub fn reseal_tagged(
+        &self,
+        keypair: &KeyPair,
+        sizing: &Sizing,
+        key_epoch: u64,
+        prev: Option<&Bytes>,
+    ) -> Result<(Bytes, usize), WireError> {
         let mut nominal = self.nominal_len(sizing)?;
         let mut sink = ByteSink::new();
         sink.u16(self.src);
@@ -927,7 +949,13 @@ impl Envelope {
             sink.u64(key_epoch);
             nominal += 8;
         }
-        let sig = keypair.sign(sink.as_slice());
+        let signed = sink.as_slice();
+        if let Some(prev) = prev {
+            if prev.len() == signed.len() + 64 && prev.get(..signed.len()) == Some(signed) {
+                return Ok((prev.clone(), nominal));
+            }
+        }
+        let sig = keypair.sign(signed);
         sink.raw(&sig.r.to_bytes());
         sink.raw(&sig.z.to_bytes());
         Ok((sink.into_bytes(), nominal))
@@ -977,6 +1005,24 @@ impl Envelope {
         bytes: &[u8],
         pk_of: impl Fn(u16) -> Option<PublicKey>,
     ) -> Result<(Envelope, u64, bool), WireError> {
+        Self::open_tagged_known(bytes, pk_of, |_| false)
+    }
+
+    /// [`Envelope::open_tagged`] for a receiver that keeps the frames it
+    /// already verified: after decoding, `known(&env)` is asked whether
+    /// these exact bytes passed the signature check before, and when it
+    /// says so the check is skipped and the frame reported valid. Verifying
+    /// is deterministic, so the answer is the one a fresh check would give
+    /// as long as `pk_of` has not changed since.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] under the same conditions as [`Envelope::open`].
+    pub fn open_tagged_known(
+        bytes: &[u8],
+        pk_of: impl Fn(u16) -> Option<PublicKey>,
+        known: impl FnOnce(&Envelope) -> bool,
+    ) -> Result<(Envelope, u64, bool), WireError> {
         if bytes.len() < 64 {
             return Err(WireError::Truncated);
         }
@@ -994,13 +1040,17 @@ impl Envelope {
             sig_bytes.get(..32).and_then(|b| b.try_into().ok()).ok_or(WireError::Truncated)?;
         let z_bytes: [u8; 32] =
             sig_bytes.get(32..).and_then(|b| b.try_into().ok()).ok_or(WireError::Truncated)?;
+        let env = Envelope { src, session, body };
+        if known(&env) {
+            return Ok((env, key_epoch, true));
+        }
         // `r` is checked as the received bytes and `z` must be canonical, so
         // a frame has one accepted encoding (no `r + p` or `z + q` twins).
         let sig_ok = match (pk_of(src), Scalar::from_canonical_bytes(&z_bytes)) {
             (Some(pk), Some(z)) => pk.verify_encoded(signed, &r_bytes, &z).is_ok(),
             _ => false,
         };
-        Ok((Envelope { src, session, body }, key_epoch, sig_ok))
+        Ok((env, key_epoch, sig_ok))
     }
 }
 

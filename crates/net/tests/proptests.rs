@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use wbft_crypto::hash::Digest32;
 use wbft_net::packets::{AbaLcInst, AbaScInst};
 use wbft_net::wire::{ByteSink, CountSink, Sizing, WireReader};
-use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Vote};
+use wbft_net::{BinValues, Bitmap, Body, CoinFlavor, Envelope, Vote};
 
 fn arb_vote() -> impl Strategy<Value = Vote> {
     (0u8..4).prop_map(Vote::from_code)
@@ -174,5 +174,48 @@ proptest! {
         let y = Bitmap::from_raw(b, len);
         prop_assert_eq!(x.union(&y), y.union(&x));
         prop_assert!(x.union(&y).count() >= x.count().max(y.count()));
+    }
+}
+
+fn keypair(seed: u64) -> wbft_crypto::schnorr::KeyPair {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    wbft_crypto::schnorr::KeyPair::generate(wbft_crypto::EcdsaCurve::Secp160r1, &mut rng)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Resealing reuses the previous frame exactly when nothing signed
+    /// changed, and otherwise signs afresh: either way the result is the
+    /// frame `seal_tagged` produces.
+    #[test]
+    fn reseal_reuses_only_an_unchanged_frame(
+        body in arb_body(),
+        other in arb_body(),
+        session in any::<u64>(),
+        tag in 0u64..3,
+        seed in any::<u64>(),
+    ) {
+        let sizing = Sizing::light(4);
+        let (kp, other_kp) = (keypair(seed), keypair(seed ^ 1));
+        let env = Envelope { src: 1, session, body };
+        let prev = env.seal_tagged(&kp, &sizing, tag).expect("seals");
+        let again = env.reseal_tagged(&kp, &sizing, tag, Some(&prev.0)).expect("seals");
+        prop_assert_eq!(&again, &prev);
+        let changed = [
+            (Envelope { session: session ^ 1, ..env.clone() }, tag, &kp),
+            (Envelope { src: 2, ..env.clone() }, tag, &kp),
+            (Envelope { body: other, ..env.clone() }, tag, &kp),
+            (env.clone(), tag + 1, &kp),
+            // Another signer sealing changed content. `prev` under another
+            // key with the content unchanged is outside the contract.
+            (Envelope { session: session ^ 1, ..env.clone() }, tag, &other_kp),
+        ];
+        for (e, t, signer) in changed {
+            let fresh = e.seal_tagged(signer, &sizing, t).expect("seals");
+            let resealed = e.reseal_tagged(signer, &sizing, t, Some(&prev.0)).expect("seals");
+            prop_assert_eq!(resealed, fresh);
+        }
     }
 }
